@@ -73,6 +73,7 @@ from .cocycles import (
     cusp_cocycle,
     eichler_cocycle,
     goldfeld_lprime,
+    newform37_coeffs,
     period_function,
     period_series_coeffs,
     rational_cocycle_check,
@@ -111,12 +112,10 @@ from .harmonic import (
     shadow,
 )
 from .quantum import (
-    QuantumSample,
     base_point_shift,
     eta_defect,
     quantum_value_eta,
     weight0_quantum,
 )
-from .cli import RunConfig
 
 __version__ = "0.1.0"

@@ -13,8 +13,6 @@ identical configurations produce byte-identical output.  `verify-all` runs
 the whole acceptance battery (reduced sample counts with --quick, the default;
 full counts with --full); there each result row carries its own tolerance in
 `inputs` and the top-level residuals are normalized by them, with tolerance 1.
-
-EICHLER_THREADS caps how many verification criteria run concurrently.
 """
 
 import argparse
@@ -23,9 +21,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -33,13 +29,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import exp1, gamma as gamma_fn
 
-from .algebra import (ARG_CUT_UP, ARG_UPPER, GroupElement, S, T,
+from .algebra import (ARG_CUT_UP, ARG_UPPER, IDENTITY, GroupElement, S, T,
                       power_branch, slash, slash_multiplier)
 from .averages import (AverageSpec, average_asymptotic_coeffs,
                        average_continued, one_sided_average)
 from .cocycles import (DEFAULT_SAMPLES, FormEvaluator, I_integral, L_eta,
-                       eichler_cocycle, goldfeld_lprime, period_function,
-                       period_series_coeffs, verify_period_relations)
+                       eichler_cocycle, goldfeld_lprime, newform37_coeffs,
+                       period_function, verify_period_relations)
 from .errors import EichlerError
 from .harmonic import (PolarIndex, bol_operator, cauchy_formula, e2_star,
                        f_rn, germ_factor, kernel_K, kernel_restriction,
@@ -50,7 +46,7 @@ from .quantum import eta_defect, quantum_value_eta, weight0_quantum
 from .specfun import (binom_complex, hurwitz_lerch, lerch_asymptotic,
                       lerch_b_coeffs, pochhammer)
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["CRITERIA", "RunConfig", "main", "run"]
 
 
 # ---------------------------------------------------------------------------
@@ -343,46 +339,6 @@ def cmd_quantum(args) -> dict:
                    results, [abs(lhs - rhs)], cfg.tolerance)
 
 
-# the weight-2 level-37 newform: a_p = p - #E(F_p) for y^2 + y = x^3 - x,
-# extended multiplicatively by the Hecke relations
-def _newform37_ap(p: int) -> int:
-    if p == 2:
-        return 2 - sum(1 for x in range(2) for y in range(2)
-                       if (y * y + y - (x ** 3 - x)) % 2 == 0)
-    squares = {(v * v) % p for v in range(1, p)}
-    tot = 0
-    for x in range(p):
-        u = (1 + 4 * (x ** 3 - x)) % p
-        if u != 0:
-            tot += 1 if u in squares else -1
-    return -tot
-
-
-def _newform37_coeffs(nmax: int) -> List[float]:
-    a = [0.0] * (nmax + 1)
-    a[1] = 1.0
-    for p in range(2, nmax + 1):
-        if any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-            continue
-        ap = float(_newform37_ap(p))
-        pk = p
-        while pk <= nmax:
-            if pk == p:
-                a[pk] = ap
-            elif p == 37:
-                a[pk] = a[pk // p] * ap
-            else:
-                a[pk] = ap * a[pk // p] - p * a[pk // (p * p)]
-            pk *= p
-    for n in range(2, nmax + 1):
-        if a[n] == 0.0 and n > 1:
-            for d in range(2, n):
-                if n % d == 0 and math.gcd(d, n // d) == 1 and 1 < d:
-                    a[n] = a[d] * a[n // d]
-                    break
-    return a[1:]
-
-
 def _load_fixture(path: str) -> List[float]:
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
@@ -398,7 +354,7 @@ def cmd_goldfeld(args) -> dict:
         a = _load_fixture(args.fixture)
         N = args.level
     else:
-        a = _newform37_coeffs(args.n_max)
+        a = newform37_coeffs(args.n_max)
         N = 37
     res = goldfeld_lprime(a, N, tol=args.quad_tol)
     # independent route: L'(1) = 2 sum a_n/n E_1(2 pi n / sqrt(N)) for w = -1
@@ -422,6 +378,9 @@ def cmd_goldfeld(args) -> dict:
 
 def _check(name: str, residual: float, tol: float) -> dict:
     return {"name": name, "residual": float(residual), "tolerance": float(tol)}
+
+
+_LAM7 = cmath.exp(2j * math.pi / 7)
 
 
 def _crit_cocycle_relation(full: bool) -> List[dict]:
@@ -451,7 +410,7 @@ def _crit_period_relations(full: bool) -> List[dict]:
     return out
 
 
-def _crit_l_identity(full: bool) -> List[dict]:
+def _crit_l_value_identity(full: bool) -> List[dict]:
     out = []
     for s in ((6.0, 8.0) if full else (6.0,)):
         mell = I_integral(12.0, s)
@@ -477,7 +436,7 @@ def _crit_period_taylor(full: bool) -> List[dict]:
             for n in range(2)]
 
 
-def _crit_lerch(full: bool) -> List[dict]:
+def _crit_hurwitz_lerch(full: bool) -> List[dict]:
     s, a, z = 2.5, 0.3, 1.7
     cont = hurwitz_lerch(s, a, z, tol=1e-11)
     # the defining series; its tail oscillates, so 4e5 terms leave ~1e-13
@@ -485,38 +444,40 @@ def _crit_lerch(full: bool) -> List[dict]:
     direct = complex(np.sum(np.exp(2j * math.pi * a * n) * (z + n) ** (-s)))
     out = [_check("H(2.5,0.3,1.7) continuation vs direct",
                   abs(cont - direct), 1e-9)]
-    for lam in (1.0, 0.3 + 0.4j):
+    for lam in (1.0, 0.3 + 0.4j) + ((_LAM7,) if full else ()):
         b = lerch_b_coeffs(lam, s, 4)
         binv = lerch_b_coeffs(1.0 / lam, s, 4)
         worst = max(abs(binv[k] / lam - (-1.0) ** (k + 1) * b[k]) for k in range(5))
         out.append(_check(f"b_k reflection lambda={lam}", worst, 1e-12))
     b1 = lerch_b_coeffs(1.0, s, 1)
     out.append(_check("b table lambda=1", abs(b1[0]) + abs(b1[1] + s / 24), 1e-12))
-    lam = 0.3 + 0.4j
-    b2 = lerch_b_coeffs(lam, s, 1)
-    want0 = 1 / (1 - lam)
-    want1 = -(s / 2) * (1 + lam) / (1 - lam) ** 2
-    out.append(_check("b table lambda generic",
-                      abs(b2[0] - want0) + abs(b2[1] - want1), 1e-12))
+    cells = (("generic", 0.3 + 0.4j),) \
+        + ((("unit", cmath.exp(0.6j * math.pi)),) if full else ())
+    for kind, lam in cells:
+        b2 = lerch_b_coeffs(lam, s, 1)
+        want0 = 1 / (1 - lam)
+        want1 = -(s / 2) * (1 + lam) / (1 - lam) ** 2
+        out.append(_check(f"b table lambda {kind}",
+                          abs(b2[0] - want0) + abs(b2[1] - want1), 1e-12))
     if full:
-        asym, bound = lerch_asymptotic(s, a, 0.5 + 40.0, 3)
-        exact = hurwitz_lerch(s, a, 0.5 + 40.0, tol=1e-13)
-        out.append(_check("Katsurada K=3 bound",
-                          max(abs(asym - exact) - bound, 0.0), 1e-13))
+        # the K = 3 asymptotic expansion stays within its own error bound
+        for aa in (0.3, 0.2, 0.0):
+            asym, bound = lerch_asymptotic(s, aa, 40.5, 3)
+            exact = hurwitz_lerch(s, aa, 40.5, tol=1e-13)
+            out.append(_check(f"Katsurada K=3 bound a={aa}", abs(asym - exact), bound))
     return out
 
 
-def _crit_averages(full: bool) -> List[dict]:
-    lam7 = cmath.exp(2j * math.pi / 7)
+def _crit_one_sided_averages(full: bool) -> List[dict]:
     cells = [
         (1.5, "plus", 0.7, 2.5 - 0.3j),
         (1.0, "minus", -1.0, -2.5 - 0.3j),
     ]
     if full:
         cells += [
-            (lam7, "plus", 0.3, 2.5 - 0.3j),
+            (_LAM7, "plus", 0.3, 2.5 - 0.3j),
             (1.0, "plus", -1.0, 2.5 - 0.3j),
-            (lam7, "minus", 0.3, -2.5 - 0.3j),
+            (_LAM7, "minus", 0.3, -2.5 - 0.3j),
             (0.6, "minus", 0.7, -2.5 - 0.3j),
         ]
     out = []
@@ -529,20 +490,22 @@ def _crit_averages(full: bool) -> List[dict]:
         res = abs(av - av1 / complex(lam) - g(t))
         out.append(_check(f"diff-eq lam={lam} {sign} r={r}", res, 1e-8))
     if full:
+        # Lerch continuation at r = 1.6, outside every |lambda| = 1 cell
         h = lambda z: 0.7 + (2 * (z - 1j) + 1) / ((z - 1j) ** 2 + 0.25)
         gg = lambda z: power_branch(z - 1j, 1.6 - 2.0, ARG_CUT_UP) * h(z)
-        for sign, t in (("plus", 3.0 - 0.2j), ("minus", -3.0 - 0.2j)):
-            got = average_continued(h, 1.6, lam7, sign, t)
-            got1 = average_continued(h, 1.6, lam7, sign, t + 1)
-            out.append(_check(f"continued r=1.6 {sign}",
-                              abs(got - got1 / lam7 - gg(t)), 1e-7))
+        for lam in (_LAM7, -1.0, 1.0):
+            for sign, t in (("plus", 3.0 - 0.2j), ("minus", -3.0 - 0.2j)):
+                got = average_continued(h, 1.6, lam, sign, t)
+                got1 = average_continued(h, 1.6, lam, sign, t + 1)
+                out.append(_check(f"continued r=1.6 lam={lam} {sign}",
+                                  abs(got - got1 / lam - gg(t)), 1e-7))
     c = average_asymptotic_coeffs(1.0, 0.0, 0.0, 0.5, 1.0)
     out.append(_check("asymptotic table c_{-1} (lam=1)",
                       abs(c[0] - 1.0 / (1 - 0.5)), 1e-12))
     return out
 
 
-def _crit_shadows(full: bool) -> List[dict]:
+def _crit_shadow_and_laplacian(full: bool) -> List[dict]:
     r = 0.6 + 0.2j
     z = 1.1 + 0.8j
     out = []
@@ -582,9 +545,12 @@ def _crit_kernel(full: bool) -> List[dict]:
     z = 1j * (1 + wz) / (1 - wz)
     tau = 1j * (1 + wt) / (1 - wt)
     out = []
-    lhs = slash(lambda u: kernel_K(r, u, S.apply(tau)), r, S, z) \
-        * S.cd(tau) ** (complex(r) - 2.0)
-    out.append(_check("equivariance g=S", abs(lhs - kernel_K(r, z, tau)), 1e-9))
+    elements = (("S", S), ("T", T), ("(2,1,1,1)", GroupElement(2, 1, 1, 1))) if full \
+        else (("S", S),)
+    for name, g in elements:
+        lhs = slash(lambda u: kernel_K(r, u, g.apply(tau)), r, g, z) \
+            * g.cd(tau) ** (complex(r) - 2.0)
+        out.append(_check(f"equivariance g={name}", abs(lhs - kernel_K(r, z, tau)), 1e-9))
     t0 = 0.7
     want = kernel_restriction(r, tau, t0)
     got = kernel_K(r, t0 + 1e-4j, tau) / germ_factor(r, t0 + 1e-4j)
@@ -596,7 +562,7 @@ def _crit_kernel(full: bool) -> List[dict]:
     return out
 
 
-def _crit_cauchy(full: bool) -> List[dict]:
+def _crit_cauchy_formula(full: bool) -> List[dict]:
     r = 0.7
     circle = ContourSpec.circle(1j, 0.65)
     zin = 1j * math.sqrt(1 - 0.65 ** 2)
@@ -609,7 +575,7 @@ def _crit_cauchy(full: bool) -> List[dict]:
     return out
 
 
-def _crit_q_lift(full: bool) -> List[dict]:
+def _crit_kernel_lift(full: bool) -> List[dict]:
     F = FormEvaluator.eta_power(2.5)
     z0, t = 1j, 0.4 - 0.8j
     QF = lambda u: q_lift(F, z0, u, tol=1e-12)
@@ -624,24 +590,49 @@ def _crit_q_lift(full: bool) -> List[dict]:
     return out
 
 
-def _crit_bol(full: bool) -> List[dict]:
+def _crit_bol_identity(full: bool) -> List[dict]:
     lhs, rhs = bol_operator([(1, 1.0)], 4, S, 0.3 + 1.1j)
     return [_check("Bol r=4 g=S", abs(lhs - rhs) / abs(rhs), 1e-5)]
 
 
-def _crit_quantum(full: bool) -> List[dict]:
-    out = [_check("weight-0 model", weight0_quantum(1, S, -1j), 1e-12)]
+def _random_group_element(rng) -> GroupElement:
+    g = IDENTITY
+    for _ in range(rng.integers(1, 6)):
+        g = g @ (S if rng.integers(2) else T)
+        g = g @ GroupElement(1, int(rng.integers(-2, 3)), 0, 1)
+    return g
+
+
+def _crit_quantum_values(full: bool) -> List[dict]:
+    out = [_check("weight-0 model", weight0_quantum(1, S, -1j), 1e-14)]
+    if full:
+        # the weight-0 defect relation is exact at random (g, a, t)
+        rng = np.random.default_rng(20260814)
+        done = 0
+        while done < 20:
+            g = _random_group_element(rng)
+            a = int(rng.integers(-3, 4))
+            t = complex(rng.uniform(-2, 2), -rng.uniform(0.2, 2.0))
+            if g.c * a + g.d == 0 or abs(g.c * t + g.d) < 1e-6:
+                continue
+            done += 1
+            out.append(_check(f"weight-0 random #{done}", weight0_quantum(a, g, t), 1e-12))
     lhs, rhs = eta_defect(3.0, 1, S, 1j)
     out.append(_check("eta defect (3,1,S)", abs(lhs - rhs), 1e-5))
+    # Cauchy ladder: the boundary approach of the lift converges to the value
     p = quantum_value_eta(3.0, 1, 1j)
+    prev = None
     for eps in ((1e-2, 1e-3, 1e-4) if full else (1e-2, 1e-3)):
-        h = quantum_value_eta(3.0, 1, 1j, t=1 - 1j * eps)
-        out.append(_check(f"ladder eps={eps}", abs(h - p) / (10 * eps), 1.0))
+        err = abs(quantum_value_eta(3.0, 1, 1j, t=1 - 1j * eps) - p)
+        out.append(_check(f"ladder eps={eps}", err / (10 * eps), 1.0))
+        if full and prev is not None:
+            out.append(_check(f"ladder shrinks at eps={eps}", err / prev, 1.0))
+        prev = err
     return out
 
 
 def _crit_goldfeld(full: bool) -> List[dict]:
-    a = _newform37_coeffs(160 if full else 120)
+    a = newform37_coeffs(200 if full else 120)
     res = goldfeld_lprime(a, 37, tol=1e-7 if full else 1e-6)
     ns = np.arange(1, len(a) + 1)
     oracle = 2.0 * float(np.sum(np.asarray(a) / ns * exp1(2 * math.pi * ns / math.sqrt(37))))
@@ -651,36 +642,34 @@ def _crit_goldfeld(full: bool) -> List[dict]:
     return out
 
 
-_CRITERIA: Tuple[Tuple[int, str, Callable[[bool], List[dict]]], ...] = (
+# The acceptance battery, defined once: (number, name, criterion), where
+# criterion(full) returns the checks {name, residual, tolerance} it ran.
+# `verify-all` runs it in quick or full mode; tests/test_acceptance.py runs
+# each criterion in full mode as one test, named after its function
+# (_crit_kernel -> test_criterion_08_kernel).
+CRITERIA: Tuple[Tuple[int, str, Callable[[bool], List[dict]]], ...] = (
     (1, "cocycle relation", _crit_cocycle_relation),
     (2, "period relations", _crit_period_relations),
-    (3, "L-value identity", _crit_l_identity),
+    (3, "L-value identity", _crit_l_value_identity),
     (4, "period Taylor coefficients", _crit_period_taylor),
-    (5, "Hurwitz-Lerch continuation", _crit_lerch),
-    (6, "one-sided averages", _crit_averages),
-    (7, "shadow and Laplacian", _crit_shadows),
+    (5, "Hurwitz-Lerch continuation", _crit_hurwitz_lerch),
+    (6, "one-sided averages", _crit_one_sided_averages),
+    (7, "shadow and Laplacian", _crit_shadow_and_laplacian),
     (8, "kernel expansion", _crit_kernel),
-    (9, "Cauchy formula", _crit_cauchy),
-    (10, "kernel lift Q_F", _crit_q_lift),
-    (11, "Bol identity", _crit_bol),
-    (12, "quantum values", _crit_quantum),
+    (9, "Cauchy formula", _crit_cauchy_formula),
+    (10, "kernel lift Q_F", _crit_kernel_lift),
+    (11, "Bol identity", _crit_bol_identity),
+    (12, "quantum values", _crit_quantum_values),
     (13, "Goldfeld L'(1)", _crit_goldfeld),
 )
 
 
 def cmd_verify_all(args) -> dict:
     full = bool(args.full)
-    threads = max(1, int(os.environ.get("EICHLER_THREADS", "1")))
-    runner = lambda item: item[2](full)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(runner, _CRITERIA))
-    else:
-        batches = [runner(item) for item in _CRITERIA]
     results = []
     residuals = []
-    for (num, name, _), checks in zip(_CRITERIA, batches):
-        for chk in checks:
+    for num, name, crit in CRITERIA:
+        for chk in crit(full):
             results.append({"inputs": {"criterion": num, "name": name,
                                        "check": chk["name"],
                                        "tolerance": chk["tolerance"]},

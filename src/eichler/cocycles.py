@@ -8,8 +8,8 @@ with t below the real line and the branch arg(z-t) in (-pi/2, 3pi/2).
 With the base point moved to the cusp at infinity (for cusp forms) the
 value on S is the period function, whose Taylor coefficients are Mellin
 transforms I(r,s) of eta powers; those in turn tie the package to the
-L-series of eta^{2r}.  The Goldfeld L'(1) integral for weight-2 newforms
-closes the module.
+L-series of eta^{2r}.  The Goldfeld L'(1) integral for weight-2 newforms,
+with the coefficients of the level-37 newform, closes the module.
 """
 
 from __future__ import annotations
@@ -18,23 +18,24 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import gamma as _gamma_fn
 
-from .algebra import (ARG_CUT_DOWN, GroupElement, IDENTITY, MultiplierSystem,
-                      S, T, multiplier_eval, power_branch, slash_multiplier)
+from .algebra import (ARG_CUT_DOWN, GroupElement, MultiplierSystem, S, T,
+                      power_branch, slash_multiplier)
 from .errors import DomainError, PoleError, RefusalError
 from .quadrature import INF, ContourSpec, contour_integral
-from .specfun import binom_complex, eta_power_coeffs, eta_power_eval, incomplete_gamma
+from .specfun import (_sigma_one, binom_complex, eta_power_coeffs, eta_power_eval,
+                      incomplete_gamma)
 
 __all__ = [
     "CocycleSample", "FormEvaluator", "GoldfeldResult", "LSeriesValue",
     "ResidualReport", "DEFAULT_SAMPLES", "I_integral", "L_eta",
     "L_eta_detailed", "cusp_cocycle", "eichler_cocycle", "goldfeld_lprime",
-    "period_function", "period_series_coeffs", "rational_cocycle_check",
-    "rational_cocycle_wt2", "verify_period_relations",
+    "newform37_coeffs", "period_function", "period_series_coeffs",
+    "rational_cocycle_check", "rational_cocycle_wt2", "verify_period_relations",
 ]
 
 # default evaluation points in the lower half-plane, kept well away from
@@ -43,18 +44,6 @@ DEFAULT_SAMPLES: Tuple[complex, ...] = (
     -0.7 - 0.4j, -2j, 3 - 0.5j, -1.3 - 0.8j, 0.4 - 1.5j,
     2.2 - 0.35j, -3.1 - 0.6j, 1.1 - 2.4j, -0.45 - 3.2j, 0.8 - 0.9j,
 )
-
-
-def _sigma_one(n: int) -> int:
-    tot = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            tot += d
-            if d != n // d:
-                tot += n // d
-        d += 1
-    return tot
 
 
 # ---------------------------------------------------------------------------
@@ -537,3 +526,47 @@ def goldfeld_lprime(a: Sequence[float], N: int, tol: float = 1e-7,
 
     slope = (psi_p(r_step) - psi_p(0.0)) / r_step
     return GoldfeldResult(lprime=lprime, slope=slope, l1=l1, u_integral=u_int)
+
+
+def _curve37_ap(p: int) -> int:
+    # a_p = p - #{(x, y) mod p : y^2 + y = x^3 - x}; for odd p, completing
+    # the square gives y^2 + y = u exactly 1 + chi(1 + 4u) solutions
+    if p == 2:
+        return 2 - sum(1 for x in range(2) for y in range(2)
+                       if (y * y + y - (x ** 3 - x)) % 2 == 0)
+    squares = {v * v % p for v in range(1, p)}
+    tot = 0
+    for x in range(p):
+        u = (1 + 4 * (x ** 3 - x)) % p
+        if u:
+            tot += 1 if u in squares else -1
+    return -tot
+
+
+def newform37_coeffs(nmax: int) -> List[int]:
+    """a_1..a_nmax of the weight-2 level-37 newform (the curve y^2 + y = x^3 - x).
+
+    a_p comes from point counts mod p; prime powers follow the Hecke relation
+    a_{p^{k+1}} = a_p a_{p^k} - p a_{p^{k-1}} (a_{37^k} = a_37^k at the bad
+    prime), and every other a_n is the product over its prime-power factors.
+    """
+    spf = list(range(nmax + 1))  # smallest prime factor
+    for p in range(2, math.isqrt(nmax) + 1):
+        if spf[p] == p:
+            for m in range(p * p, nmax + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    a = [0] * (nmax + 1)
+    a[1] = 1
+    for n in range(2, nmax + 1):
+        p = spf[n]
+        pk = p
+        while n % (pk * p) == 0:
+            pk *= p
+        if pk < n:
+            a[n] = a[pk] * a[n // pk]
+        elif n == p:
+            a[n] = _curve37_ap(p)
+        else:
+            a[n] = a[p] * a[n // p] - (0 if p == 37 else p) * a[n // (p * p)]
+    return a[1:]

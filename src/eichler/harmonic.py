@@ -19,7 +19,7 @@ closed form is testable against a derivative-free evaluation.
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Tuple
 
 from .algebra import ARG_CUT_DOWN, GroupElement, power_branch
 from .cocycles import FormEvaluator, _e2_eval

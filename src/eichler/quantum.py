@@ -14,21 +14,17 @@ eta^{2r} decays like exp(-pi Re(r) Im(w)/6) while every (qw+d) power cancels
 algebraically -- the quadrature never sees the cusp.
 """
 
-import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .algebra import (ARG_CUT_DOWN, ARG_LOWER, ARG_UPPER, GroupElement,
-                      MultiplierSystem, j_factor, multiplier_eval,
-                      power_branch, scaling_matrix)
+                      j_factor, multiplier_eval, power_branch, scaling_matrix)
 from .cocycles import FormEvaluator, eichler_cocycle
 from .errors import DomainError, PoleError
 from .quadrature import ContourSpec, contour_integral
 
 __all__ = [
-    "QuantumSample",
     "base_point_shift",
     "eta_defect",
     "quantum_value_eta",
@@ -44,19 +40,6 @@ def _as_rational(a) -> Fraction:
             raise DomainError("quantum values live at finite rationals")
         a = Fraction(a).limit_denominator(10 ** 9)
     return Fraction(a)
-
-
-@dataclass(frozen=True)
-class QuantumSample:
-    """One quantum value p(a) = h_a(a) of eta^{2r} with its base point."""
-
-    cusp: Fraction
-    r: complex
-    z0: complex
-    value: complex
-
-    def __complex__(self) -> complex:
-        return self.value
 
 
 def quantum_value_eta(r: complex, a, z0: complex, tol: float = 1e-10,

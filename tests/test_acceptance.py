@@ -1,382 +1,29 @@
-"""Acceptance battery: thirteen end-to-end criteria, one test each.
+"""Acceptance battery: the thirteen criteria of ``eichler verify-all --full``.
 
-Every test prints a single summary line (visible with ``pytest -s`` or
-``-rA``); under ``pytest -v`` each criterion contributes exactly one
-PASSED/FAILED line.  Tolerances are the contractual ones and must not be
-loosened here.
+The checks are defined once, in :data:`eichler.cli.CRITERIA`; this module
+runs each criterion in full mode as one test, so under ``pytest -v`` every
+criterion contributes exactly one PASSED/FAILED line, and ``pytest -s``
+shows its worst residual.  A criterion passes iff every check's residual is
+within that check's tolerance.
 """
 
-import cmath
-import math
-
-import numpy as np
-import pytest
-
-from eichler.algebra import (ARG_CUT_UP, ARG_UPPER, GroupElement, S, T,
-                             power_branch, slash, slash_multiplier)
-from eichler.averages import (AverageSpec, average_asymptotic_coeffs,
-                              average_continued, one_sided_average)
-from eichler.cocycles import (DEFAULT_SAMPLES, FormEvaluator, I_integral,
-                              L_eta, eichler_cocycle, goldfeld_lprime,
-                              period_function, verify_period_relations)
-from eichler.harmonic import (PolarIndex, bol_operator, cauchy_formula,
-                              e2_star, f_rn, germ_factor, kernel_K,
-                              kernel_restriction, laplacian_r, polar_eval,
-                              polar_expansion_partial, polar_shadow, q_lift,
-                              resolvent_Q, shadow)
-from eichler.quadrature import ContourSpec
-from eichler.quantum import eta_defect, quantum_value_eta, weight0_quantum
-from eichler.specfun import (binom_complex, hurwitz_lerch, lerch_asymptotic,
-                             lerch_b_coeffs, pochhammer)
-
-RNG_SEED = 20260814
-LAM7 = cmath.exp(2j * math.pi / 7)
+from eichler.cli import CRITERIA
 
 
-def report(num, name, pairs):
-    # pairs: [(residual, tolerance), ...]; prints one line, asserts nothing
-    worst = max(res / tol for res, tol in pairs)
-    print(f"criterion {num:2d} ({name}): PASS  "
-          f"worst residual at {worst:.2e} of tolerance over {len(pairs)} checks")
+def _criterion_test(num, name, crit):
+    def test():
+        checks = crit(True)
+        failed = [c for c in checks if not c["residual"] <= c["tolerance"]]
+        worst = max(c["residual"] / c["tolerance"] for c in checks)
+        print(f"criterion {num:2d} ({name}): {'FAIL' if failed else 'PASS'}  "
+              f"worst residual at {worst:.2e} of tolerance over {len(checks)} checks")
+        assert not failed, failed
+
+    # _crit_one_sided_averages runs as test_criterion_06_one_sided_averages
+    test.__name__ = f"test_criterion_{num:02d}_{crit.__name__.removeprefix('_crit_')}"
+    return test
 
 
-# ---------------------------------------------------------------------------
-
-
-def test_criterion_01_cocycle_relation():
-    # psi_{gamma delta} = psi_delta + psi_gamma |_{v,2-r} delta for eta^{2r}
-    z0 = 1j
-    tol = 1e-7
-    pairs = []
-    for r in (2.5, 1.3 + 0.4j):
-        F = FormEvaluator.eta_power(r)
-        ms, p = F.multiplier, 2.0 - complex(r)
-        for gamma, delta in ((S, T), (T, S), (S @ T, T @ S)):
-            psi_g = lambda u: complex(eichler_cocycle(F, gamma, z0, u, tol=1e-9))
-            for t in DEFAULT_SAMPLES:
-                lhs = complex(eichler_cocycle(F, gamma @ delta, z0, t, tol=1e-9))
-                rhs = complex(eichler_cocycle(F, delta, z0, t, tol=1e-9)) \
-                    + slash_multiplier(psi_g, ms, p, delta, t, "lower")
-                res = abs(lhs - rhs)
-                assert res <= tol
-                pairs.append((res, tol))
-    report(1, "cocycle relation", pairs)
-
-
-def test_criterion_02_period_relations():
-    tol = 1e-7
-    pairs = []
-    for r in (2.5, 12.0, 2.5 + 0.5j):
-        rep = verify_period_relations(r, tol=tol)
-        assert rep.passed
-        pairs.extend((val, tol) for _, val in rep.checks)
-    report(2, "period relations", pairs)
-
-
-def test_criterion_03_l_value_identity():
-    pairs = []
-    from scipy.special import gamma as gamma_fn
-    for s in (6.0, 8.0):
-        mellin = I_integral(12.0, s)
-        other = (2 * math.pi) ** (-s) * complex(gamma_fn(s)) * L_eta(12.0, s)
-        res = abs(mellin - other) / abs(other)
-        assert res <= 1e-8
-        pairs.append((res, 1e-8))
-    sym = abs(I_integral(12.0, 3.7) - I_integral(12.0, 8.3)) \
-        / abs(I_integral(12.0, 3.7))
-    assert sym <= 1e-9
-    pairs.append((sym, 1e-9))
-    report(3, "L-value identity", pairs)
-
-
-def test_criterion_04_period_taylor():
-    # quadrature-sampled Taylor fit of the period function vs the Mellin
-    # formula for c_0, c_1 at r = 5/2
-    r = 2.5
-    pts = [0.05 * cmath.exp(-1j * math.pi * (k + 0.5) / 8.0) for k in range(8)]
-    vals = [period_function(r, t, tol=1e-12) for t in pts]
-    V = np.vander(np.array(pts), 6, increasing=True)
-    coef, *_ = np.linalg.lstsq(V, np.array(vals), rcond=None)
-    pairs = []
-    for n in range(2):
-        want = cmath.exp(1j * math.pi * (r - 1) / 2) * 1j ** n \
-            * binom_complex(r - 2.0, n) * I_integral(r, r - 1.0 - n)
-        res = abs(coef[n] - want) / abs(want)
-        assert res <= 1e-5
-        pairs.append((res, 1e-5))
-    report(4, "period Taylor coefficients", pairs)
-
-
-def test_criterion_05_hurwitz_lerch():
-    pairs = []
-    # continuation against the defining series
-    s, a, z = 2.5, 0.3, 1.7
-    n = np.arange(0, 400_000)
-    direct = complex(np.sum(np.exp(2j * math.pi * a * n) * (z + n) ** (-s)))
-    res = abs(hurwitz_lerch(s, a, z, tol=1e-11) - direct)
-    assert res <= 1e-9
-    pairs.append((res, 1e-9))
-    # asymptotic expansion with the K = 3 error bound, generic and lambda = 1
-    for aa in (0.2, 0.0):
-        val, bound = lerch_asymptotic(2.5, aa, 40.5, 3)
-        diff = abs(val - hurwitz_lerch(2.5, aa, 40.5, tol=1e-13))
-        assert diff <= bound
-        pairs.append((diff, bound))
-    # b_k closed forms, both columns of the table
-    b = lerch_b_coeffs(1.0, s, 1)
-    res = abs(b[0]) + abs(b[1] + s / 24.0)
-    assert res <= 1e-12
-    pairs.append((res, 1e-12))
-    lam = cmath.exp(2j * math.pi * 0.3)
-    b = lerch_b_coeffs(lam, s, 1)
-    res = abs(b[0] - 1.0 / (1.0 - lam)) \
-        + abs(b[1] + (s / 2.0) * (1.0 + lam) / (1.0 - lam) ** 2)
-    assert res <= 1e-12
-    pairs.append((res, 1e-12))
-    # reflection identity lambda^{-1} b_k(lambda^{-1}) = (-1)^{k+1} b_k(lambda)
-    bp = lerch_b_coeffs(LAM7, s, 3)
-    bm = lerch_b_coeffs(1.0 / LAM7, s, 3)
-    for k in range(4):
-        res = abs(bm[k] / LAM7 - (-1.0) ** (k + 1) * bp[k])
-        assert res <= 1e-12
-        pairs.append((res, 1e-12))
-    report(5, "Hurwitz-Lerch continuation", pairs)
-
-
-def fit_average_coeffs(lam, sign, r, ts, tol):
-    g = lambda z: power_branch(1j * z, r - 2.0, ARG_UPPER)
-    rows, ys = [], []
-    for t in ts:
-        av = one_sided_average(AverageSpec(lam, sign, r, g), t, tol=tol)
-        y = (av * power_branch(1j * t, 2.0 - r, ARG_UPPER)
-             * (1.0 - 0.5 / t) ** (2.0 - r))
-        rows.append([t - 0.5, 1.0, 1.0 / (t - 0.5)])
-        ys.append(y)
-    return np.linalg.solve(np.array(rows, dtype=complex),
-                           np.array(ys, dtype=complex))
-
-
-def test_criterion_06_one_sided_averages():
-    pairs = []
-    # difference equation in every absolute-convergence cell
-    cells = [
-        (1.5 + 0j, "plus", 0.7 + 0j, 2.5 - 0.3j, 1e-10),
-        (LAM7, "plus", 0.3 + 0j, 2.5 - 0.3j, 2e-9),
-        (1.0 + 0j, "plus", -1.0 + 0j, 2.5 - 0.3j, 1e-10),
-        (LAM7, "minus", 0.3 + 0j, -2.5 - 0.3j, 2e-9),
-        (1.0 + 0j, "minus", -1.0 + 0j, -2.5 - 0.3j, 1e-10),
-        (0.6 + 0j, "minus", 0.7 + 0j, -2.5 - 0.3j, 1e-10),
-    ]
-    for lam, sign, r, t, qtol in cells:
-        g = lambda z: power_branch(1j * z, r - 2.0, ARG_UPPER)
-        spec = AverageSpec(lam, sign, r, g)
-        res = abs(one_sided_average(spec, t, tol=qtol)
-                  - one_sided_average(spec, t + 1, tol=qtol) / lam - g(t))
-        assert res <= 1e-8
-        pairs.append((res, 1e-8))
-    # continuation at r = 1.6 (outside every |lambda| = 1 cell)
-    h = lambda z: 0.7 + (2.0 * (z - 1j) + 1.0) / ((z - 1j) ** 2 + 0.25)
-    gg = lambda z: power_branch(z - 1j, 1.6 - 2.0, ARG_CUT_UP) * h(z)
-    for lam in (LAM7, -1.0 + 0j, 1.0 + 0j):
-        for sign, t in (("plus", 3.0 - 0.2j), ("minus", -3.0 - 0.2j)):
-            av = lambda u: average_continued(h, 1.6, lam, sign, u, tol=1e-10)
-            res = abs(av(t) - av(t + 1) / lam - gg(t))
-            assert res <= 1e-7
-            pairs.append((res, 1e-7))
-    # empirical asymptotic coefficients against the table
-    r = -1.5
-    for lam, qtol in ((1.0, 1e-7), (-1.0, 1e-9)):
-        want = average_asymptotic_coeffs(1.0, 0.0, 0.0, r, lam)
-        got = fit_average_coeffs(lam, "plus", r, [50.0, 100.0, 200.0], qtol)
-        scale = max(abs(w) for w in want)
-        for k in range(2):
-            res = abs(got[k] - want[k]) / scale
-            assert res <= 1e-3
-            pairs.append((res, 1e-3))
-    # identical coefficients on both real half-lines
-    want = average_asymptotic_coeffs(1.0, 0.0, 0.0, r, LAM7)
-    scale = max(abs(w) for w in want)
-    plus = fit_average_coeffs(LAM7, "plus", r, [100.0, 200.0, 400.0], 1e-9)
-    minus = fit_average_coeffs(LAM7, "minus", r, [-100.0, -200.0, -400.0], 1e-9)
-    for k in range(2):
-        for res in (abs(plus[k] - minus[k]) / scale,
-                    abs(plus[k] - want[k]) / scale):
-            assert res <= 1e-3
-            pairs.append((res, 1e-3))
-    report(6, "one-sided averages", pairs)
-
-
-def test_criterion_07_shadow_and_laplacian():
-    pairs = []
-    r = 0.6 + 0.2j
-    z = 1.1 + 0.8j
-    for mu in (-2, 0, 1):
-        idx = PolarIndex(r, mu)
-        fd = shadow(lambda u: polar_eval(idx, "M", u), r, z)
-        cf = polar_shadow(idx, "M", z)
-        res = abs(fd - cf) / abs(cf)
-        assert res <= 1e-5
-        pairs.append((res, 1e-5))
-    # Kummer relation ties H to M and P at a terminating index
-    mu, rr = -3, 2.0 / 3.0
-    idx = PolarIndex(rr, mu)
-    comb = mu / (1 - rr) * polar_eval(idx, "M", z) \
-        + math.factorial(-mu) / pochhammer(1 - rr, -mu) * polar_eval(idx, "P", z)
-    res = abs(polar_eval(idx, "H", z) - comb)
-    assert res <= 1e-10
-    pairs.append((res, 1e-10))
-    # the completed quasimodular series has constant shadow 3/pi
-    for p in (0.3 + 1.1j, -0.7 + 0.4j, 1.9j, 0.45 + 0.85j, -1.6 + 2.3j):
-        res = abs(shadow(e2_star, 2.0, p) - 3 / math.pi) / (3 / math.pi)
-        assert res <= 1e-5
-        pairs.append((res, 1e-5))
-    # weight-r Laplacian annihilates every family
-    fams = [
-        ("P", r, z, lambda u: polar_eval(PolarIndex(r, 2), "P", u)),
-        ("M", r, z, lambda u: polar_eval(PolarIndex(r, -2), "M", u)),
-        ("H", r, z, lambda u: polar_eval(PolarIndex(r, -2), "H", u)),
-        ("K", r, z, lambda u: kernel_K(r, u, 0.3 + 0.9j)),
-        ("Q", r, z, lambda u: resolvent_Q(r, -0.5 + 4j, u)),
-        ("F_{r,n}", 0.4, 0.3 + 0.9j, lambda u: f_rn(0.4, 1, u)),
-        ("E2*", 2.0, z, e2_star),
-        ("y^{1-r}", r, z, lambda u: cmath.exp((1 - r) * math.log(u.imag))),
-    ]
-    for _, rr, zz, F in fams:
-        res = abs(laplacian_r(F, rr, zz))
-        assert res <= 1e-4
-        pairs.append((res, 1e-4))
-    report(7, "shadow and Laplacian", pairs)
-
-
-def test_criterion_08_kernel():
-    pairs = []
-    r = 0.5 + 0.1j
-    wz, wt = 0.8 * cmath.exp(0.7j), 0.3 * cmath.exp(-1.1j)
-    z = 1j * (1 + wz) / (1 - wz)
-    tau = 1j * (1 + wt) / (1 - wt)
-    for g in (S, T, GroupElement(2, 1, 1, 1)):
-        lhs = slash(lambda u: kernel_K(r, u, g.apply(tau)), r, g, z) \
-            * g.cd(tau) ** (complex(r) - 2.0)
-        res = abs(lhs - kernel_K(r, z, tau))
-        assert res <= 1e-9
-        pairs.append((res, 1e-9))
-    t0 = 0.7
-    want = kernel_restriction(r, tau, t0)
-    got = kernel_K(r, t0 + 1e-4j, tau) / germ_factor(r, t0 + 1e-4j)
-    res = abs(got - want) / abs(want)
-    assert res <= 1e-4
-    pairs.append((res, 1e-4))
-    res = abs(polar_expansion_partial(r, z, tau, terms=40) - kernel_K(r, z, tau))
-    assert res <= 1e-8
-    pairs.append((res, 1e-8))
-    res = abs(polar_expansion_partial(3.0, z, tau, terms=40)
-              - kernel_K(3.0, z, tau))
-    assert res <= 1e-10
-    pairs.append((res, 1e-10))
-    report(8, "kernel expansion", pairs)
-
-
-def test_criterion_09_cauchy_formula():
-    r = 0.7
-    circle = ContourSpec.circle(1j, 0.65)
-    F = lambda u: u * u + 1
-    zin = 1j * math.sqrt(1 - 0.65 ** 2)
-    want = 2j * math.pi * (1 - r) * F(zin)
-    res_in = abs(cauchy_formula(F, r, zin, circle, tol=1e-10) - want) / abs(want)
-    assert res_in <= 1e-6
-    res_out = abs(cauchy_formula(F, r, 3j, circle, tol=1e-10))
-    assert res_out <= 1e-6
-    report(9, "Cauchy formula", [(res_in, 1e-6), (res_out, 1e-6)])
-
-
-def test_criterion_10_kernel_lift():
-    F = FormEvaluator.eta_power(2.5)
-    z0, t = 1j, 0.4 - 0.8j
-    QF = lambda u: q_lift(F, z0, u, tol=1e-12)
-    lhs = slash_multiplier(QF, F.multiplier, -0.5, S, t, halfplane="lower") - QF(t)
-    res_cob = abs(lhs - complex(eichler_cocycle(F, S, z0, t)))
-    assert res_cob <= 1e-6
-    z = 0.3 + 1.1j
-    G = lambda u: q_lift(F, z0, u.conjugate(), tol=1e-13).conjugate()
-    want = 2 ** 1.5 * cmath.exp(1j * math.pi * 0.75) * F(z)
-    res_sh = abs(shadow(G, -0.5, z) - want) / abs(want)
-    assert res_sh <= 1e-4
-    report(10, "kernel lift", [(res_cob, 1e-6), (res_sh, 1e-4)])
-
-
-def test_criterion_11_bol_identity():
-    lhs, rhs = bol_operator([(1, 1.0)], 4, S, 0.3 + 1.1j)
-    res = abs(lhs - rhs) / abs(rhs)
-    assert res <= 1e-5
-    report(11, "Bol identity", [(res, 1e-5)])
-
-
-def random_group_element(rng):
-    g = GroupElement(1, 0, 0, 1)
-    for _ in range(rng.integers(1, 6)):
-        g = g @ (S if rng.integers(2) else T)
-        g = g @ GroupElement(1, int(rng.integers(-2, 3)), 0, 1)
-    return g
-
-
-def test_criterion_12_quantum_values():
-    pairs = []
-    res = weight0_quantum(1, S, -1j)
-    assert res <= 1e-14
-    pairs.append((res, 1e-14))
-    rng = np.random.default_rng(RNG_SEED)
-    done = 0
-    while done < 20:
-        g = random_group_element(rng)
-        a = int(rng.integers(-3, 4))
-        t = complex(rng.uniform(-2, 2), -rng.uniform(0.2, 2.0))
-        if g.c * a + g.d == 0 or abs(g.c * t + g.d) < 1e-6:
-            continue
-        res = weight0_quantum(a, g, t)
-        assert res <= 1e-12
-        pairs.append((res, 1e-12))
-        done += 1
-    lhs, rhs = eta_defect(3.0, 1, S, 1j)
-    res = abs(lhs - rhs)
-    assert res <= 1e-5
-    pairs.append((res, 1e-5))
-    # Cauchy ladder: boundary approach of the lift converges to the value
-    p = quantum_value_eta(3.0, 1, 1j)
-    prev = None
-    for eps in (1e-2, 1e-3, 1e-4):
-        h = quantum_value_eta(3.0, 1, 1j, t=1 - 1j * eps)
-        bound = 10.0 * eps
-        assert abs(h - p) <= bound
-        pairs.append((abs(h - p), bound))
-        if prev is not None:
-            assert abs(h - p) <= abs(prev - p)
-        prev = h
-    report(12, "quantum values", pairs)
-
-
-def load_fixture_coeffs(nmax):
-    import csv
-    import pathlib
-    path = pathlib.Path(__file__).parent / "data" / "curve37a_an.csv"
-    out = [0.0] * nmax
-    with open(path) as fh:
-        for row in csv.DictReader(fh):
-            n = int(row["n"])
-            if n <= nmax:
-                out[n - 1] = float(row["a_n"])
-    return out
-
-
-def test_criterion_13_goldfeld():
-    from scipy.special import exp1
-    a = load_fixture_coeffs(200)
-    res = goldfeld_lprime(a, 37, tol=1e-7)
-    ns = np.arange(1, len(a) + 1)
-    oracle = 2.0 * float(np.sum(np.asarray(a) / ns
-                                * exp1(2 * math.pi * ns / math.sqrt(37))))
-    res_lp = abs(res.lprime - oracle)
-    assert res_lp <= 1e-4
-    # the cocycle slope at small r reproduces the derivative route
-    res_slope = abs(res.slope - (-1j) * res.u_integral) / abs(res.u_integral)
-    assert res_slope <= 1e-2
-    report(13, "Goldfeld derivative", [(res_lp, 1e-4), (res_slope, 1e-2)])
+for _num, _name, _crit in CRITERIA:
+    _test = _criterion_test(_num, _name, _crit)
+    globals()[_test.__name__] = _test

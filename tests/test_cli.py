@@ -4,9 +4,12 @@ verification battery."""
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import eichler
 from eichler.cli import build_parser, main, run
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -156,13 +159,6 @@ class TestVerifyAll:
             assert res == pytest.approx(
                 row["value"][0] / row["inputs"]["tolerance"])
 
-    def test_thread_pool_output_is_identical(self, monkeypatch):
-        monkeypatch.delenv("EICHLER_THREADS", raising=False)
-        single = run(["verify-all", "--quick"])
-        monkeypatch.setenv("EICHLER_THREADS", "4")
-        pooled = run(["verify-all", "--quick"])
-        assert single == pooled
-
 
 def test_parser_lists_all_subcommands():
     parser = build_parser()
@@ -171,3 +167,12 @@ def test_parser_lists_all_subcommands():
                  "harmonic-check", "kernel-expand", "cauchy", "quantum",
                  "goldfeld", "verify-all"):
         assert name in text
+
+
+def test_import_eichler_leaves_cli_unloaded():
+    # the library does not pull in its command-line front end
+    src = str(pathlib.Path(eichler.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, eichler; assert 'eichler.cli' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -13,7 +13,7 @@ from eichler.algebra import (ARG_CUT_DOWN, IDENTITY, MultiplierSystem, S, T,
                              power_branch, slash_multiplier)
 from eichler.cocycles import (DEFAULT_SAMPLES, FormEvaluator, I_integral,
                               L_eta, L_eta_detailed, cusp_cocycle,
-                              eichler_cocycle, goldfeld_lprime,
+                              eichler_cocycle, goldfeld_lprime, newform37_coeffs,
                               period_function, period_series_coeffs,
                               rational_cocycle_check, rational_cocycle_wt2,
                               verify_period_relations)
@@ -201,8 +201,8 @@ class TestCuspCocycle:
             assert abs(lhs - rhs) <= 1e-7
 
     def test_period_relations(self):
-        for r, tol in ((2.5, 1e-7), (12.0, 1e-7), (2.5 + 0.5j, 1e-6)):
-            report = verify_period_relations(r, tol=tol)
+        for r in (2.5, 12.0, 2.5 + 0.5j):
+            report = verify_period_relations(r, tol=1e-7)
             assert report.passed, report.checks
 
     def test_report_structure(self):
@@ -382,6 +382,10 @@ class TestGoldfeld:
             assert a[m * n - 1] == a[m - 1] * a[n - 1]
         for p in (2, 3, 5, 7, 11, 13):
             assert a[p * p - 1] == a[p - 1] ** 2 - p
+
+    def test_generator_reproduces_fixture(self):
+        # the generator behind `eichler goldfeld` and acceptance criterion 13
+        assert newform37_coeffs(4000) == load_an(DATA / "curve37a_an.csv")
 
     def test_lprime_matches_smoothed_series_oracle(self):
         a = load_an(DATA / "curve37a_an.csv")

@@ -8,7 +8,7 @@ import pytest
 
 from eichler.algebra import IDENTITY, S, T, GroupElement
 from eichler.errors import DomainError, PoleError
-from eichler.quantum import (QuantumSample, base_point_shift, eta_defect,
+from eichler.quantum import (base_point_shift, eta_defect,
                              quantum_value_eta, weight0_quantum)
 
 RNG_SEED = 20260814
@@ -88,11 +88,6 @@ class TestQuantumValue:
     def test_upper_half_plane_t_rejected(self):
         with pytest.raises(DomainError):
             quantum_value_eta(3.0, 1, 1j, t=1 + 1j)
-
-    def test_sample_container(self):
-        val = quantum_value_eta(3.0, 1, 1j)
-        s = QuantumSample(Fraction(1), 3.0, 1j, val)
-        assert complex(s) == val
 
 
 class TestDefect:

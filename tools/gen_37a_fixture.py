@@ -1,88 +1,29 @@
 #!/usr/bin/env python3
-"""Generate Fourier coefficients of the weight-2 level-37 newform.
+"""Write the Fourier coefficients of the weight-2 level-37 newform as CSV.
 
-The form corresponds to the elliptic curve y^2 + y = x^3 - x (conductor 37,
-rank 1): a_p = p - #{affine points mod p}, extended by the Hecke relations
-a_{p^{k+1}} = a_p a_{p^k} - p a_{p^{k-1}} (a_{p^k} = a_p^k at p = 37) and
-multiplicativity.  Output is a CSV `n,a_n` consumed by the test fixtures.
+The coefficients come from `eichler.cocycles.newform37_coeffs` (point counts
+on y^2 + y = x^3 - x, Hecke relations, multiplicativity).  Output is a CSV
+`n,a_n` consumed by the test fixtures:
+
+    PYTHONPATH=src python3 tools/gen_37a_fixture.py --nmax 4000
 """
 
 import argparse
 import csv
 
-
-def a_p(p: int) -> int:
-    if p == 2:
-        count = sum(1 for x in range(2) for y in range(2) if (y * y + y - (x**3 - x)) % 2 == 0)
-        return 2 - count
-    qr = {(v * v) % p for v in range(1, p)}
-    tot = 0
-    for x in range(p):
-        u = (1 + 4 * (x * x * x - x)) % p
-        if u == 0:
-            continue
-        tot += 1 if u in qr else -1
-    # completing the square: y^2+y = t has 1 + chi(1+4t) solutions
-    return -tot
-
-
-def sieve_primes(n: int):
-    flags = bytearray([1]) * (n + 1)
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, int(n**0.5) + 1):
-        if flags[i]:
-            flags[i * i:: i] = bytearray(len(flags[i * i:: i]))
-    return [i for i in range(2, n + 1) if flags[i]]
-
-
-def coefficients(nmax: int) -> list:
-    a = [0] * (nmax + 1)
-    a[1] = 1
-    for p in sieve_primes(nmax):
-        ap = a_p(p)
-        if p == 37:
-            assert ap in (1, -1), f"bad-reduction a_37 = {ap}"
-        # prime powers
-        pk = p
-        a[p] = ap
-        prev, cur = 1, ap
-        while pk * p <= nmax:
-            pk *= p
-            prev, cur = cur, (ap * cur - (0 if p == 37 else p) * prev)
-            a[pk] = cur
-    # multiplicativity: fill composites from their prime-power parts
-    for n in range(2, nmax + 1):
-        if a[n] != 0 or n == 1:
-            continue
-        m = n
-        val = 1
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                pk = 1
-                while m % p == 0:
-                    m //= p
-                    pk *= p
-                val *= a[pk]
-            p += 1
-        if m > 1:
-            val *= a[m]
-        a[n] = val
-    return a
+from eichler.cocycles import newform37_coeffs
 
 
 def main() -> None:
-    ap_ = argparse.ArgumentParser(description=__doc__)
-    ap_.add_argument("--nmax", type=int, default=4000)
-    ap_.add_argument("--out", default="tests/data/curve37a_an.csv")
-    args = ap_.parse_args()
-    a = coefficients(args.nmax)
-    assert a[1] == 1 and a[2] == -2 and a[3] == -3 and a[4] == 2
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--nmax", type=int, default=4000)
+    parser.add_argument("--out", default="tests/data/curve37a_an.csv")
+    args = parser.parse_args()
     with open(args.out, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["n", "a_n"])
-        for n in range(1, args.nmax + 1):
-            wr.writerow([n, a[n]])
+        writer = csv.writer(fh)
+        writer.writerow(["n", "a_n"])
+        for n, an in enumerate(newform37_coeffs(args.nmax), start=1):
+            writer.writerow([n, an])
     print(f"wrote {args.nmax} coefficients to {args.out}")
 
 
