@@ -22,7 +22,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -33,10 +32,10 @@ from .algebra import (ARG_CUT_UP, ARG_UPPER, IDENTITY, GroupElement, S, T,
                       power_branch, slash, slash_multiplier)
 from .averages import (AverageSpec, average_asymptotic_coeffs,
                        average_continued, one_sided_average)
-from .cocycles import (DEFAULT_SAMPLES, FormEvaluator, I_integral, L_eta,
-                       eichler_cocycle, goldfeld_lprime, newform37_coeffs,
+from .cocycles import (DEFAULT_SAMPLES, FormEvaluator, GoldfeldResult, I_integral,
+                       L_eta, eichler_cocycle, goldfeld_lprime, newform37_coeffs,
                        period_function, verify_period_relations)
-from .errors import EichlerError
+from .errors import DomainError, EichlerError
 from .harmonic import (PolarIndex, bol_operator, cauchy_formula, e2_star,
                        f_rn, germ_factor, kernel_K, kernel_restriction,
                        laplacian_r, polar_eval, polar_expansion_partial,
@@ -46,7 +45,7 @@ from .quantum import eta_defect, quantum_value_eta, weight0_quantum
 from .specfun import (binom_complex, hurwitz_lerch, lerch_asymptotic,
                       lerch_b_coeffs, pochhammer)
 
-__all__ = ["CRITERIA", "RunConfig", "main", "run"]
+__all__ = ["CRITERIA", "main", "run"]
 
 
 # ---------------------------------------------------------------------------
@@ -117,31 +116,8 @@ def _emit(rec: dict, fmt: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# configuration
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation: command, weight, tolerance, samples, output format."""
-
-    command: str
-    r: complex = 0j
-    tolerance: float = 1e-7
-    orders: int = 8
-    points: Tuple[complex, ...] = ()
-    fixture: Optional[str] = None
-    fmt: str = "json"
-
-    def __post_init__(self):
-        if not 1e-14 <= self.tolerance <= 1e-2:
-            raise EichlerError("tolerance must lie in [1e-14, 1e-2]")
-        lower = {"period", "cocycle-check", "average", "quantum"}
-        for t in self.points:
-            if self.command in lower and complex(t).imag >= 0:
-                raise EichlerError(f"{self.command} samples must lie below the real line")
-            if self.command in ("harmonic-check", "kernel-expand", "cauchy") \
-                    and complex(t).imag <= 0:
-                raise EichlerError(f"{self.command} samples must lie above the real line")
+# flag parsing: argparse is the only place flags are checked, so every bad
+# value stops here with exit 2
 
 
 def _parse_complex(text: str) -> complex:
@@ -153,39 +129,47 @@ def _parse_complex(text: str) -> complex:
         im = float(parts[1]) if len(parts) == 2 else 0.0
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise argparse.ArgumentTypeError(f"expected finite parts, got {text!r}")
     return complex(re, im)
 
 
 def _parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        val = Fraction(text)
+        float(val)  # the cusp is used as a float too, so it must fit one
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    return val
+
+
+def _tol(text: str) -> float:
+    val = float(text)
+    if not 1e-14 <= val <= 1e-2:
+        raise argparse.ArgumentTypeError("tolerance must lie in [1e-14, 1e-2]")
+    return val
+
+
+def _count(high: float = math.inf) -> Callable[[str], int]:
+    # argparse type of a count in 1..high
+    def count(text: str) -> int:
+        val = int(text)
+        if not 1 <= val <= high:
+            raise argparse.ArgumentTypeError(f"count must lie in 1..{high}, got {val}")
+        return val
+    return count
 
 
 _DELTAS = {"S": S, "T": T, "ST": S @ T, "TS": T @ S, "TST": T @ S @ T}
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# computations shared by a subcommand and its acceptance criterion; each
+# caller brings its own weights, points and tolerances
 
 
-def cmd_period(args) -> dict:
-    cfg = RunConfig("period", args.r, args.tol, points=tuple(DEFAULT_SAMPLES[:args.points]),
-                    fmt=args.format)
-    results = [{"inputs": {"t": _cpx(t)},
-                "value": _cpx(period_function(cfg.r, t, tol=args.quad_tol))}
-               for t in cfg.points]
-    residuals: List[float] = []
-    passed = True
-    if args.check_relations:
-        rep = verify_period_relations(cfg.r, samples=cfg.points, tol=cfg.tolerance,
-                                      quad_tol=args.quad_tol)
-        residuals = [v for _, v in rep.checks]
-        passed = rep.passed
-    return _record("period", {"r": _cpx(cfg.r), "points": len(cfg.points),
-                              "check_relations": bool(args.check_relations)},
-                   results, residuals, cfg.tolerance, passed)
+# generator pairs (gamma, delta) of the cocycle relation
+_PAIRS = (("S,T", S, T), ("T,S", T, S), ("ST,TS", S @ T, T @ S))
 
 
 def _cocycle_relation_residual(F: FormEvaluator, gamma: GroupElement,
@@ -199,168 +183,218 @@ def _cocycle_relation_residual(F: FormEvaluator, gamma: GroupElement,
     return abs(lhs - base - slash_multiplier(psi_g, ms, p, delta, t, "lower"))
 
 
+def _l_value_sides(r: complex, s: complex) -> Tuple[complex, complex]:
+    # I(r,s) and (2 pi)^{-s} Gamma(s) L(eta^{2r}, s), equal by the Mellin transform
+    mellin = I_integral(r, s)
+    return mellin, (2 * math.pi) ** (-s) * complex(gamma_fn(s)) * L_eta(r, s)
+
+
+def _average_step(lam: complex, sign: str, r: complex, t: complex,
+                  quad_tol: float) -> Tuple[complex, float]:
+    # Av(t) for g(z) = (iz)^{r-2} and the residual of Av(t) - Av(t+1)/lam = g(t)
+    g = lambda z: power_branch(1j * z, complex(r) - 2.0, ARG_UPPER)
+    spec = AverageSpec(lam, sign, r, g)
+    av = one_sided_average(spec, t, tol=quad_tol)
+    av1 = one_sided_average(spec, t + 1, tol=quad_tol)
+    return av, abs(av - av1 / complex(lam) - g(t))
+
+
+# r-harmonic families: name -> (weight r) -> (weight of Delta_r, function)
+_FAMILIES = {
+    "y^{1-r}": lambda r: (r, lambda u: cmath.exp((1 - complex(r)) * math.log(u.imag))),
+    "P": lambda r: (r, lambda u: polar_eval(PolarIndex(r, 2), "P", u)),
+    "M": lambda r: (r, lambda u: polar_eval(PolarIndex(r, -2), "M", u)),
+    "H": lambda r: (r, lambda u: polar_eval(PolarIndex(r, -2), "H", u)),
+    "K": lambda r: (r, lambda u: kernel_K(r, u, 0.3 + 0.9j)),
+    "Q": lambda r: (r, lambda u: resolvent_Q(r, -0.5 + 4j, u)),
+    "F_{r,n}": lambda r: (0.4, lambda u: f_rn(0.4, 1, u)),
+    "E2*": lambda r: (2.0, e2_star),
+}
+
+
+def _laplacian_residual(name: str, r: complex, z: complex) -> float:
+    weight, F = _FAMILIES[name](r)
+    return abs(laplacian_r(F, weight, z))
+
+
+# the kernel expansion's point pair (z, tau): the Cayley images i(1+w)/(1-w)
+# of w = 0.8 e^{0.7i} and w = 0.3 e^{-1.1i} in the unit disc
+_KERNEL_Z, _KERNEL_TAU = (1j * (1 + w) / (1 - w)
+                          for w in (0.8 * cmath.exp(0.7j), 0.3 * cmath.exp(-1.1j)))
+
+# Cauchy's formula on the circle |u - i| = 0.65, at a point inside and outside
+_CIRCLE = ContourSpec.circle(1j, 0.65)
+_Z_INSIDE, _Z_OUTSIDE = 1j * math.sqrt(1 - 0.65 ** 2), 3j
+
+
+def _cauchy_sides(r: complex, quad_tol: float) -> Tuple[complex, complex, complex]:
+    # Green's-form integrals of F(u) = u^2 + 1 at the inside and the outside
+    # point, and the value 2 pi i (1-r) F(z') expected inside
+    F = lambda u: u * u + 1
+    inside = cauchy_formula(F, r, _Z_INSIDE, _CIRCLE, tol=quad_tol)
+    outside = cauchy_formula(F, r, _Z_OUTSIDE, _CIRCLE, tol=quad_tol)
+    return inside, outside, 2j * math.pi * (1 - complex(r)) * F(_Z_INSIDE)
+
+
+def _goldfeld_sides(a: Sequence[float], N: int,
+                    quad_tol: float) -> Tuple[GoldfeldResult, float, float]:
+    # goldfeld_lprime; the independent route L'(1) = 2 sum a_n/n E_1(2 pi n /
+    # sqrt N) for root number -1; the residual of slope = -i u-integral
+    res = goldfeld_lprime(a, N, tol=quad_tol)
+    ns = np.arange(1, len(a) + 1)
+    oracle = 2.0 * float(np.sum(np.asarray(a) / ns * exp1(2 * math.pi * ns / math.sqrt(N))))
+    slope_rel = abs(res.slope - (-1j) * res.u_integral) / abs(res.u_integral)
+    return res, oracle, slope_rel
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+def cmd_period(args) -> dict:
+    points = DEFAULT_SAMPLES[:args.points]
+    results = [{"inputs": {"t": _cpx(t)},
+                "value": _cpx(period_function(args.r, t, tol=args.quad_tol))}
+               for t in points]
+    residuals: List[float] = []
+    passed = True
+    if args.check_relations:
+        rep = verify_period_relations(args.r, samples=points, tol=args.tol,
+                                      quad_tol=args.quad_tol)
+        residuals = [v for _, v in rep.checks]
+        passed = rep.passed
+    return _record("period", {"r": _cpx(args.r), "points": len(points),
+                              "check_relations": bool(args.check_relations)},
+                   results, residuals, args.tol, passed)
+
+
 def cmd_cocycle_check(args) -> dict:
-    cfg = RunConfig("cocycle-check", args.r, args.tol,
-                    points=tuple(DEFAULT_SAMPLES[:args.points]), fmt=args.format)
-    F = FormEvaluator.eta_power(cfg.r)
-    pairs = (("S,T", S, T), ("T,S", T, S), ("ST,TS", S @ T, T @ S))
+    F = FormEvaluator.eta_power(args.r)
     results = []
     residuals = []
-    for name, g, d in pairs:
-        for t in cfg.points:
+    for name, g, d in _PAIRS:
+        for t in DEFAULT_SAMPLES[:args.points]:
             res = _cocycle_relation_residual(F, g, d, args.z0, t, args.quad_tol)
             results.append({"inputs": {"pair": name, "t": _cpx(t)},
                             "value": [res, 0.0]})
             residuals.append(res)
-    return _record("cocycle-check", {"r": _cpx(cfg.r), "z0": _cpx(args.z0)},
-                   results, residuals, cfg.tolerance)
+    return _record("cocycle-check", {"r": _cpx(args.r), "z0": _cpx(args.z0)},
+                   results, residuals, args.tol)
 
 
 def cmd_l_value(args) -> dict:
-    cfg = RunConfig("l-value", args.r, args.tol, fmt=args.format)
-    s = args.s
-    mellin = I_integral(cfg.r, s)
-    lser = L_eta(cfg.r, s)
-    gamma_side = (2 * math.pi) ** (-s) * complex(gamma_fn(s)) * lser
+    mellin, gamma_side = _l_value_sides(args.r, args.s)
     rel = abs(mellin - gamma_side) / abs(gamma_side)
     results = [
         {"inputs": {"quantity": "I(r,s)"}, "value": _cpx(mellin)},
         {"inputs": {"quantity": "(2pi)^-s Gamma(s) L(s)"}, "value": _cpx(gamma_side)},
     ]
-    return _record("l-value", {"r": _cpx(cfg.r), "s": _cpx(s)},
-                   results, [rel], cfg.tolerance)
+    return _record("l-value", {"r": _cpx(args.r), "s": _cpx(args.s)},
+                   results, [rel], args.tol)
 
 
 def cmd_lerch(args) -> dict:
-    cfg = RunConfig("lerch", tolerance=args.tol, fmt=args.format)
     s, a, z = args.s, args.a, args.z
-    val = hurwitz_lerch(s, a, z, tol=cfg.tolerance)
-    again = hurwitz_lerch(s, a, z, tol=cfg.tolerance * 1e-3)
+    val = hurwitz_lerch(s, a, z, tol=args.tol)
+    again = hurwitz_lerch(s, a, z, tol=args.tol * 1e-3)
     res = abs(val - again)
     return _record("lerch", {"s": _cpx(s), "a": _cpx(a), "z": _cpx(z)},
                    [{"inputs": {"quantity": "H(s,a,z)"}, "value": _cpx(val)}],
-                   [res], cfg.tolerance)
+                   [res], args.tol)
 
 
 def cmd_average(args) -> dict:
-    r, lam = args.r, args.lam
-    sign = args.sign
-    ts = tuple(complex(2.5, -0.4) + k if sign == "plus" else complex(-2.5, -0.4) - k
-               for k in range(args.points))
-    cfg = RunConfig("average", r, args.tol, points=ts, fmt=args.format)
-    g = lambda z: power_branch(1j * z, complex(r) - 2.0, ARG_UPPER)
-    spec = AverageSpec(lam, sign, r, g)
+    r, lam, sign = args.r, args.lam, args.sign
     results = []
     residuals = []
-    for t in ts:
-        av = one_sided_average(spec, t, tol=args.quad_tol)
-        av1 = one_sided_average(spec, t + 1, tol=args.quad_tol)
-        res = abs(av - av1 / complex(lam) - g(t))
+    for k in range(args.points):
+        t = complex(2.5, -0.4) + k if sign == "plus" else complex(-2.5, -0.4) - k
+        av, res = _average_step(lam, sign, r, t, args.quad_tol)
         results.append({"inputs": {"t": _cpx(t)}, "value": _cpx(av)})
         residuals.append(res)
     return _record("average", {"r": _cpx(r), "lambda": _cpx(lam), "sign": sign},
-                   results, residuals, cfg.tolerance)
+                   results, residuals, args.tol)
 
 
 def cmd_harmonic_check(args) -> dict:
-    r = args.r
-    cfg = RunConfig("harmonic-check", r, args.tol,
-                    points=(1.1 + 0.8j, -0.9 + 1.3j), fmt=args.format)
-    tau = 0.3 + 0.9j
-    fams = [
-        ("y^{1-r}", r, lambda u: cmath.exp((1 - complex(r)) * math.log(u.imag))),
-        ("P", r, lambda u: polar_eval(PolarIndex(r, 2), "P", u)),
-        ("M", r, lambda u: polar_eval(PolarIndex(r, -2), "M", u)),
-        ("H", r, lambda u: polar_eval(PolarIndex(r, -2), "H", u)),
-        ("K", r, lambda u: kernel_K(r, u, tau)),
-        ("E2*", 2.0, e2_star),
-    ]
     results = []
     residuals = []
-    for name, rr, F in fams:
-        for z in cfg.points:
-            res = abs(laplacian_r(F, rr, z))
+    for name in ("y^{1-r}", "P", "M", "H", "K", "E2*"):
+        for z in (1.1 + 0.8j, -0.9 + 1.3j):
+            res = _laplacian_residual(name, args.r, z)
             results.append({"inputs": {"family": name, "z": _cpx(z)},
                             "value": [res, 0.0]})
             residuals.append(res)
-    return _record("harmonic-check", {"r": _cpx(r)}, results, residuals, cfg.tolerance)
+    return _record("harmonic-check", {"r": _cpx(args.r)}, results, residuals, args.tol)
 
 
 def cmd_kernel_expand(args) -> dict:
-    r = args.r
-    z = 1j * (1 + 0.8 * cmath.exp(0.7j)) / (1 - 0.8 * cmath.exp(0.7j))
-    tau = 1j * (1 + 0.3 * cmath.exp(-1.1j)) / (1 - 0.3 * cmath.exp(-1.1j))
-    cfg = RunConfig("kernel-expand", r, args.tol, points=(z, tau), fmt=args.format)
+    r, z, tau = args.r, _KERNEL_Z, _KERNEL_TAU
     kern = kernel_K(r, z, tau)
     part = polar_expansion_partial(r, z, tau, terms=args.terms)
-    res = abs(part - kern)
     results = [
         {"inputs": {"quantity": "K_r(z;tau)", "z": _cpx(z), "tau": _cpx(tau)},
          "value": _cpx(kern)},
         {"inputs": {"quantity": f"expansion({args.terms} terms)"}, "value": _cpx(part)},
     ]
     return _record("kernel-expand", {"r": _cpx(r), "terms": args.terms},
-                   results, [res], cfg.tolerance)
+                   results, [abs(part - kern)], args.tol)
 
 
 def cmd_cauchy(args) -> dict:
-    r = args.r
-    circle = ContourSpec.circle(1j, 0.65)
-    zin = 1j * math.sqrt(1 - 0.65 ** 2)
-    zout = 3j
-    cfg = RunConfig("cauchy", r, args.tol, points=(zin, zout), fmt=args.format)
-    F = lambda u: u * u + 1
-    inside = cauchy_formula(F, r, zin, circle, tol=args.quad_tol)
-    want = 2j * math.pi * (1 - complex(r)) * F(zin)
-    outside = cauchy_formula(F, r, zout, circle, tol=args.quad_tol)
+    inside, outside, want = _cauchy_sides(args.r, args.quad_tol)
     scale = abs(want)
     results = [
-        {"inputs": {"where": "inside", "z'": _cpx(zin)}, "value": _cpx(inside)},
-        {"inputs": {"where": "outside", "z'": _cpx(zout)}, "value": _cpx(outside)},
+        {"inputs": {"where": "inside", "z'": _cpx(_Z_INSIDE)}, "value": _cpx(inside)},
+        {"inputs": {"where": "outside", "z'": _cpx(_Z_OUTSIDE)}, "value": _cpx(outside)},
     ]
-    return _record("cauchy", {"r": _cpx(r), "circle": [_cpx(1j), 0.65]},
+    return _record("cauchy", {"r": _cpx(args.r), "circle": [_cpx(1j), 0.65]},
                    results, [abs(inside - want) / scale, abs(outside) / scale],
-                   cfg.tolerance)
+                   args.tol)
 
 
 def cmd_quantum(args) -> dict:
-    r = args.r
-    cfg = RunConfig("quantum", r, args.tol, fmt=args.format)
-    a = args.a
-    delta = _DELTAS[args.delta]
+    r, a = args.r, args.a
     p = quantum_value_eta(r, a, args.z0)
-    lhs, rhs = eta_defect(r, a, delta, args.z0)
+    lhs, rhs = eta_defect(r, a, _DELTAS[args.delta], args.z0)
     results = [
         {"inputs": {"quantity": "p(a)", "a": str(a)}, "value": _cpx(p)},
         {"inputs": {"quantity": "defect"}, "value": _cpx(lhs)},
         {"inputs": {"quantity": "cocycle"}, "value": _cpx(rhs)},
     ]
     return _record("quantum", {"r": _cpx(r), "a": str(a), "delta": args.delta},
-                   results, [abs(lhs - rhs)], cfg.tolerance)
+                   results, [abs(lhs - rhs)], args.tol)
 
 
 def _load_fixture(path: str) -> List[float]:
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    out = [0.0] * len(rows)
-    for row in rows:
-        out[int(row["n"]) - 1] = float(row["a_n"])
-    return out
+    # rows (n, a_n) with n running over 1..(row count), each once
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or ()
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DomainError(f"cannot read fixture {path}: {exc}") from None
+    if "n" not in header or "a_n" not in header:
+        raise DomainError(f"fixture {path} needs the columns n and a_n")
+    try:
+        coeffs = sorted((int(row["n"]), float(row["a_n"])) for row in rows)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"fixture {path} has a non-numeric value: {exc}") from None
+    if not coeffs or [n for n, _ in coeffs] != list(range(1, len(coeffs) + 1)):
+        raise DomainError(f"fixture {path} must list each n = 1..{len(coeffs)} "
+                          "exactly once")
+    return [an for _, an in coeffs]
 
 
 def cmd_goldfeld(args) -> dict:
-    cfg = RunConfig("goldfeld", tolerance=args.tol, fixture=args.fixture, fmt=args.format)
     if args.fixture:
         a = _load_fixture(args.fixture)
         N = args.level
     else:
         a = newform37_coeffs(args.n_max)
         N = 37
-    res = goldfeld_lprime(a, N, tol=args.quad_tol)
-    # independent route: L'(1) = 2 sum a_n/n E_1(2 pi n / sqrt(N)) for w = -1
-    ns = np.arange(1, len(a) + 1)
-    oracle = 2.0 * float(np.sum(np.asarray(a) / ns * exp1(2 * math.pi * ns / math.sqrt(N))))
-    slope_rel = abs(res.slope - (-1j) * res.u_integral) / abs(res.u_integral)
+    res, oracle, slope_rel = _goldfeld_sides(a, N, args.quad_tol)
     results = [
         {"inputs": {"quantity": "L'(1)"}, "value": [res.lprime, 0.0]},
         {"inputs": {"quantity": "L'(1) smoothed-series oracle"}, "value": [oracle, 0.0]},
@@ -369,7 +403,7 @@ def cmd_goldfeld(args) -> dict:
     ]
     residuals = [abs(res.lprime - oracle), abs(res.l1), slope_rel]
     return _record("goldfeld", {"level": N, "coefficients": len(a)},
-                   results, residuals, cfg.tolerance)
+                   results, residuals, args.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +421,7 @@ def _crit_cocycle_relation(full: bool) -> List[dict]:
     rs = (2.5, 1.3 + 0.4j) if full else (2.5,)
     # quick mode keeps the one pair where neither side degenerates at z0 = i
     # (S fixes i, so psi_S vanishes identically in the other two pairs)
-    pairs = (("S,T", S, T), ("T,S", T, S), ("ST,TS", S @ T, T @ S)) if full \
-        else (("ST,TS", S @ T, T @ S),)
+    pairs = _PAIRS if full else _PAIRS[-1:]
     ts = DEFAULT_SAMPLES[:10] if full else DEFAULT_SAMPLES[:2]
     out = []
     for r in rs:
@@ -413,8 +446,7 @@ def _crit_period_relations(full: bool) -> List[dict]:
 def _crit_l_value_identity(full: bool) -> List[dict]:
     out = []
     for s in ((6.0, 8.0) if full else (6.0,)):
-        mell = I_integral(12.0, s)
-        other = (2 * math.pi) ** (-s) * complex(gamma_fn(s)) * L_eta(12.0, s)
+        mell, other = _l_value_sides(12.0, s)
         out.append(_check(f"I(12,{s}) vs Gamma-L", abs(mell - other) / abs(other), 1e-8))
     sym = abs(I_integral(12.0, 3.7) - I_integral(12.0, 8.3)) / abs(I_integral(12.0, 3.7))
     out.append(_check("I(12,3.7) = I(12,8.3)", sym, 1e-9))
@@ -482,12 +514,8 @@ def _crit_one_sided_averages(full: bool) -> List[dict]:
         ]
     out = []
     for lam, sign, r, t in cells:
-        g = lambda z: power_branch(1j * z, complex(r) - 2.0, ARG_UPPER)
-        spec = AverageSpec(lam, sign, r, g)
         quad = 2e-9 if abs(abs(complex(lam)) - 1) < 1e-12 and complex(lam) != 1 else 1e-10
-        av = one_sided_average(spec, t, tol=quad)
-        av1 = one_sided_average(spec, t + 1, tol=quad)
-        res = abs(av - av1 / complex(lam) - g(t))
+        _, res = _average_step(lam, sign, r, t, quad)
         out.append(_check(f"diff-eq lam={lam} {sign} r={r}", res, 1e-8))
     if full:
         # Lerch continuation at r = 1.6, outside every |lambda| = 1 cell
@@ -523,27 +551,14 @@ def _crit_shadow_and_laplacian(full: bool) -> List[dict]:
         else (0.3 + 1.1j,)
     worst = max(abs(shadow(e2_star, 2.0, p) - 3 / math.pi) / (3 / math.pi) for p in pts)
     out.append(_check("xi E2* = 3/pi", worst, 1e-5))
-    fams = [
-        ("P", r, lambda u: polar_eval(PolarIndex(r, 2), "P", u)),
-        ("M", r, lambda u: polar_eval(PolarIndex(r, -2), "M", u)),
-        ("H", r, lambda u: polar_eval(PolarIndex(r, -2), "H", u)),
-        ("K", r, lambda u: kernel_K(r, u, 0.3 + 0.9j)),
-        ("Q", r, lambda u: resolvent_Q(r, -0.5 + 4j, u)),
-        ("F_{r,n}", 0.4, lambda u: f_rn(0.4, 1, u)),
-        ("E2*", 2.0, e2_star),
-        ("y^{1-r}", r, lambda u: cmath.exp((1 - r) * math.log(u.imag))),
-    ]
-    for name, rr, F in fams:
+    for name in ("P", "M", "H", "K", "Q", "F_{r,n}", "E2*", "y^{1-r}"):
         zz = 0.3 + 0.9j if name == "F_{r,n}" else z
-        out.append(_check(f"Delta_r {name} = 0", abs(laplacian_r(F, rr, zz)), 1e-4))
+        out.append(_check(f"Delta_r {name} = 0", _laplacian_residual(name, r, zz), 1e-4))
     return out
 
 
 def _crit_kernel(full: bool) -> List[dict]:
-    r = 0.5 + 0.1j
-    wz, wt = 0.8 * cmath.exp(0.7j), 0.3 * cmath.exp(-1.1j)
-    z = 1j * (1 + wz) / (1 - wz)
-    tau = 1j * (1 + wt) / (1 - wt)
+    r, z, tau = 0.5 + 0.1j, _KERNEL_Z, _KERNEL_TAU
     out = []
     elements = (("S", S), ("T", T), ("(2,1,1,1)", GroupElement(2, 1, 1, 1))) if full \
         else (("S", S),)
@@ -563,16 +578,9 @@ def _crit_kernel(full: bool) -> List[dict]:
 
 
 def _crit_cauchy_formula(full: bool) -> List[dict]:
-    r = 0.7
-    circle = ContourSpec.circle(1j, 0.65)
-    zin = 1j * math.sqrt(1 - 0.65 ** 2)
-    F = lambda u: u * u + 1
-    inside = cauchy_formula(F, r, zin, circle, tol=1e-10)
-    want = 2j * math.pi * (1 - r) * F(zin)
-    out = [_check("inside", abs(inside - want) / abs(want), 1e-6)]
-    outside = cauchy_formula(F, r, 3j, circle, tol=1e-10)
-    out.append(_check("outside", abs(outside) / abs(want), 1e-6))
-    return out
+    inside, outside, want = _cauchy_sides(0.7, 1e-10)
+    return [_check("inside", abs(inside - want) / abs(want), 1e-6),
+            _check("outside", abs(outside) / abs(want), 1e-6)]
 
 
 def _crit_kernel_lift(full: bool) -> List[dict]:
@@ -633,13 +641,9 @@ def _crit_quantum_values(full: bool) -> List[dict]:
 
 def _crit_goldfeld(full: bool) -> List[dict]:
     a = newform37_coeffs(200 if full else 120)
-    res = goldfeld_lprime(a, 37, tol=1e-7 if full else 1e-6)
-    ns = np.arange(1, len(a) + 1)
-    oracle = 2.0 * float(np.sum(np.asarray(a) / ns * exp1(2 * math.pi * ns / math.sqrt(37))))
-    out = [_check("L'(1) vs smoothed series", abs(res.lprime - oracle), 1e-4)]
-    out.append(_check("slope = -i u-integral",
-                      abs(res.slope - (-1j) * res.u_integral) / abs(res.u_integral), 1e-2))
-    return out
+    res, oracle, slope_rel = _goldfeld_sides(a, 37, 1e-7 if full else 1e-6)
+    return [_check("L'(1) vs smoothed series", abs(res.lprime - oracle), 1e-4),
+            _check("slope = -i u-integral", slope_rel, 1e-2)]
 
 
 # The acceptance battery, defined once: (number, name, criterion), where
@@ -683,13 +687,6 @@ def cmd_verify_all(args) -> dict:
 # parser and entry point
 
 
-def _tol(text: str) -> float:
-    val = float(text)
-    if not 1e-14 <= val <= 1e-2:
-        raise argparse.ArgumentTypeError("tolerance must lie in [1e-14, 1e-2]")
-    return val
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eichler",
@@ -707,14 +704,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("period", help="period function values and relations")
     common(p)
-    p.add_argument("--points", type=int, default=5)
+    p.add_argument("--points", type=_count(len(DEFAULT_SAMPLES)), default=5)
     p.add_argument("--quad-tol", type=_tol, default=1e-9)
     p.add_argument("--check-relations", action="store_true")
     p.set_defaults(handler=cmd_period)
 
     p = sub.add_parser("cocycle-check", help="cocycle property on generator pairs")
     common(p)
-    p.add_argument("--points", type=int, default=3)
+    p.add_argument("--points", type=_count(len(DEFAULT_SAMPLES)), default=3)
     p.add_argument("--z0", type=_parse_complex, default=1j)
     p.add_argument("--quad-tol", type=_tol, default=1e-9)
     p.set_defaults(handler=cmd_cocycle_check)
@@ -735,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, r_default="0.7", tol_default=1e-8)
     p.add_argument("--lam", type=_parse_complex, default=_parse_complex("1.5"))
     p.add_argument("--sign", choices=("plus", "minus"), default="plus")
-    p.add_argument("--points", type=int, default=2)
+    p.add_argument("--points", type=_count(), default=2)
     p.add_argument("--quad-tol", type=_tol, default=1e-10)
     p.set_defaults(handler=cmd_average)
 
@@ -745,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel-expand", help="polar expansion of the kernel")
     common(p, r_default="0.5,0.1", tol_default=1e-8)
-    p.add_argument("--terms", type=int, default=40)
+    p.add_argument("--terms", type=_count(), default=40)
     p.set_defaults(handler=cmd_kernel_expand)
 
     p = sub.add_parser("cauchy", help="Green's form Cauchy formula")
@@ -764,8 +761,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_tol, default=1e-2)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--fixture", help="CSV of Fourier coefficients (n,a_n)")
-    p.add_argument("--level", type=int, default=37)
-    p.add_argument("--n-max", type=int, default=120)
+    p.add_argument("--level", type=_count(), default=37)
+    p.add_argument("--n-max", type=_count(), default=120)
     p.add_argument("--quad-tol", type=_tol, default=1e-7)
     p.set_defaults(handler=cmd_goldfeld)
 

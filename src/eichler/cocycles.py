@@ -292,7 +292,7 @@ def L_eta_detailed(r: complex, s: complex, K: int = 400,
         val = sum(terms)
         tail = _power_tail_bound([abs(x) for x in terms])
         if tail is not None and tail <= tol * max(abs(val), 1e-300):
-            return LSeriesValue(val, tail, "direct")
+            return LSeriesValue(val, float(tail), "direct")
     if r.real <= 0:
         raise RefusalError("series diverges and the integral fallback needs Re r > 0")
     # gamma-smoothed route: rapidly convergent for every s
@@ -308,7 +308,7 @@ def L_eta_detailed(r: complex, s: complex, K: int = 400,
         if last < 1e-18 * max(abs(acc), 1e-300) and k > 4:
             break
     scale = (2 * math.pi) ** s / _gamma_fn(s)
-    return LSeriesValue(acc * scale, 2 * last * abs(scale), "gamma-smoothed")
+    return LSeriesValue(complex(acc * scale), float(2 * last * abs(scale)), "gamma-smoothed")
 
 
 def _power_tail_bound(mags: Sequence[float]) -> Optional[float]:
@@ -385,8 +385,9 @@ def verify_period_relations(r: complex, samples: Sequence[complex] = DEFAULT_SAM
     worst_s = 0.0
     worst_3 = 0.0
     for t in samples:
-        worst_s = max(worst_s, abs(sl(S, t) + psi(t)))
-        worst_3 = max(worst_3, abs(psi(t) - sl(T, t) - sl(TST, t)))
+        psi_t = psi(t)
+        worst_s = max(worst_s, abs(sl(S, t) + psi_t))
+        worst_3 = max(worst_3, abs(psi_t - sl(T, t) - sl(TST, t)))
     return ResidualReport((("psi|S + psi", worst_s), ("psi - psi|(T+TST)", worst_3)), tol)
 
 

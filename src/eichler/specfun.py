@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
@@ -99,25 +98,23 @@ def _sigma_one(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _eta_coeff_tuple(r: complex, K: int) -> Tuple[complex, ...]:
-    # p = exp(A) with A(q) = -2r sum_n sigma_{-1}(n) q^n, via p' = A' p;
-    # note j * a_j = -2r sigma_1(j), an integer whenever 2r is
-    if r.imag == 0 and 2 * r.real == round(2 * r.real):
-        # exact arithmetic: the p_k(r) are integers for r in (1/2)Z
-        m = int(round(2 * r.real))
-        ja = [0] + [-m * _sigma_one(j) for j in range(1, K + 1)]
-        p = [Fraction(1)] + [Fraction(0)] * K
-        for k in range(1, K + 1):
-            acc = sum(ja[j] * p[k - j] for j in range(1, k + 1))
-            p[k] = Fraction(acc, k)
-        return tuple(complex(x) for x in p)
-    ja = [0j] + [-2.0 * r * _sigma_one(j) for j in range(1, K + 1)]
-    p = [1.0 + 0j] + [0j] * K
+    # p = exp(A) with A(q) = -2r sum_n sigma_{-1}(n) q^n, via p' = A' p, so
+    # k p_k = sum_j ja_j p_{k-j} with ja_j = -2r sigma_1(j); when 2r is an
+    # integer so is every ja_j and p_k, and the recurrence runs in exact ints
+    exact = r.imag == 0 and 2 * r.real == round(2 * r.real)
+    c = -int(round(2 * r.real)) if exact else -2.0 * r
+    ja = [0] + [c * _sigma_one(j) for j in range(1, K + 1)]
+    p = [1] + [0] * K
     for k in range(1, K + 1):
-        acc = 0j
+        acc = 0
         for j in range(1, k + 1):
             acc += ja[j] * p[k - j]
-        p[k] = acc / k
-    return tuple(p)
+        if exact:
+            p[k], rem = divmod(acc, k)
+            assert rem == 0
+        else:
+            p[k] = acc / k
+    return tuple(complex(x) for x in p)
 
 
 def eta_power_coeffs(r: complex, K: int) -> EtaPowerSeries:

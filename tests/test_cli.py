@@ -95,6 +95,52 @@ class TestExitCodes:
                           "--r", "0.7"])
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["period", "--r", "inf"],
+        ["period", "--r", "1,nan"],
+        ["l-value", "--s", "1e400"],
+        ["lerch", "--s", "2.5", "--a", "nan", "--z", "1.7"],
+        ["quantum", "--z0", "inf"],
+        ["quantum", "--a", "1e400"],
+        ["goldfeld", "--fixture", str(DATA / "curve37a_an.csv"), "--level", "0"],
+        ["goldfeld", "--fixture", str(DATA / "curve37a_an.csv"), "--level", "-5"],
+        ["goldfeld", "--n-max", "0"],
+        ["kernel-expand", "--terms", "0"],
+        ["period", "--points", "-1"],
+        ["period", "--points", "0"],
+        ["period", "--points", "11"],
+        ["cocycle-check", "--points", "0"],
+        ["cocycle-check", "--points", "11"],
+        ["average", "--points", "0"],
+    ])
+    def test_bad_value_is_2_at_parse_time(self, argv, capsys):
+        assert run(argv) == (2, "")
+
+    @pytest.mark.parametrize("content", [
+        None,                          # missing file
+        "directory",                   # unreadable: a directory
+        "",                            # no header
+        "n,b_n\n1,1\n",                # no a_n column
+        "k,a_n\n1,1\n",                # no n column
+        "n,a_n\n",                     # no rows
+        "n,a_n\n1,one\n",              # non-numeric value
+        "n,a_n\n1,1\n2\n",             # missing value
+        "n,a_n\n1,1\n3,-2\n",          # n past the row count
+        "n,a_n\n0,1\n1,-2\n",          # n = 0
+        "n,a_n\n1,1\n1,-2\n",          # repeated n
+    ])
+    def test_bad_fixture_is_3(self, content, tmp_path):
+        path = tmp_path / "fixture.csv"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_text(content)
+        code, text = run(["goldfeld", "--fixture", str(path)])
+        assert code == 3
+        err = json.loads(text)["error"]
+        assert err["type"] == "DomainError"
+        assert str(path) in err["reason"]
+
     def test_main_prints(self, capsys):
         assert main(["l-value", "--r", "12", "--s", "6"]) == 0
         out = capsys.readouterr().out

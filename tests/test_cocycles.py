@@ -211,6 +211,18 @@ class TestCuspCocycle:
         assert names == ["psi|S + psi", "psi - psi|(T+TST)"]
         assert report.max_residual >= 0
 
+    def test_period_relations_evaluate_psi_four_times_per_sample(self, monkeypatch):
+        # psi(t) once, plus psi at S t, T t and TST t
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return period_function(*args, **kwargs)
+
+        monkeypatch.setattr("eichler.cocycles.period_function", counted)
+        verify_period_relations(2.5)
+        assert len(calls) == 4 * len(DEFAULT_SAMPLES)
+
 
 # ---------------------------------------------------------------------------
 # Mellin integral I(r,s) and the eta L-series
@@ -299,6 +311,13 @@ class TestLEta:
     def test_divergent_without_fallback(self):
         with pytest.raises(RefusalError):
             L_eta_detailed(-1.0, 2.0)
+
+    def test_both_routes_return_builtin_types(self):
+        for s, method in ((10.0, "direct"), (6.0, "gamma-smoothed")):
+            out = L_eta_detailed(12.0, s)
+            assert out.method == method
+            assert type(out.value) is complex and type(out.tail) is float
+            assert type(L_eta(12.0, s)) is complex
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from eichler.cocycles import FormEvaluator, eichler_cocycle
 from eichler.errors import DomainError, PoleError, RefusalError
 from eichler.harmonic import (FDStencil, PolarIndex, bol_operator,
                               cauchy_formula, dz_fd, dzbar_fd, e2_star, f_rn,
-                              germ_factor, green_form, kernel_K,
+                              germ_factor, kernel_K,
                               kernel_restriction, kernel_shadow, laplacian_r,
                               polar_eval, polar_expansion_partial,
                               polar_restriction, polar_shadow, q_lift,

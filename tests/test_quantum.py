@@ -1,6 +1,5 @@
 """Tests for eichler.quantum: quantum values at rationals and their defects."""
 
-import math
 from fractions import Fraction
 
 import numpy as np

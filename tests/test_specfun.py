@@ -69,6 +69,47 @@ def test_eta_half_integer_weights_give_integer_coeffs():
             assert abs(pk.real - round(pk.real)) < 1e-9
 
 
+def _pentagonal_series(K):
+    # prod_{n>=1} (1 - q^n) = sum_k (-1)^k q^{k(3k-1)/2} over all integers k
+    out = [0] * (K + 1)
+    k = 0
+    while k * (3 * k - 1) // 2 <= K:
+        for e in {k * (3 * k - 1) // 2, k * (3 * k + 1) // 2}:
+            if e <= K:
+                out[e] = (-1) ** k
+        k += 1
+    return out
+
+
+def _partition_numbers(K):
+    # Euler's recurrence p(n) = sum_{k>=1} (-1)^{k+1} [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)]
+    p = [1] + [0] * K
+    for n in range(1, K + 1):
+        k = 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if e <= n:
+                    p[n] += sign * p[n - e]
+            k += 1
+    return p
+
+
+def test_eta_coeffs_exact_against_integer_references():
+    K = 200
+    # r = -1/2: eta^{-1} = q^{-1/24} sum_n p(n) q^n
+    parts = _partition_numbers(K)
+    assert parts[100] == 190569292 and parts[200] == 3972999029388
+    assert eta_power_coeffs(-0.5, K).coeffs == tuple(complex(x) for x in parts)
+    # r = 12: eta^24 = q prod (1 - q^n)^24, the pentagonal series to the 24th power
+    base = _pentagonal_series(K)
+    power = [1] + [0] * K
+    for _ in range(24):
+        power = [sum(power[j] * base[k - j] for j in range(k + 1)) for k in range(K + 1)]
+    assert power[1] == -24 and power[2] == 252
+    assert eta_power_coeffs(12.0, K).coeffs == tuple(complex(x) for x in power)
+
+
 # ---------------------------------------------------------------------------
 # eta power evaluation
 
