@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Literal, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from .errors import DomainError, PoleError, UnsupportedGroupError
 
 TWO_PI = 2.0 * math.pi
@@ -61,6 +63,17 @@ class ArgInterval:
                 a += TWO_PI
         return a
 
+    def arg_array(self, w: np.ndarray) -> np.ndarray:
+        """Elementwise :meth:`arg` of a complex array, in the same arithmetic."""
+        if not np.all(w):
+            raise DomainError("argument of zero is undefined")
+        a = np.angle(w)
+        if self.closed == "left":
+            a -= TWO_PI * np.floor((a - self.lo) / TWO_PI)
+            return np.where(a >= self.hi, a - TWO_PI, a)
+        a -= TWO_PI * np.ceil((a - self.lo - TWO_PI) / TWO_PI)
+        return np.where(a <= self.lo, a + TWO_PI, a)
+
 
 ARG_UPPER = ArgInterval(-math.pi, "right")
 ARG_LOWER = ArgInterval(-math.pi, "left")
@@ -68,8 +81,18 @@ ARG_CUT_DOWN = ArgInterval(-math.pi / 2.0, "left")
 ARG_CUT_UP = ArgInterval(-3.0 * math.pi / 2.0, "left")
 
 
-def power_branch(base: complex, exponent: complex, interval: ArgInterval) -> complex:
-    """base**exponent with arg(base) taken in the given interval."""
+def power_branch(base: Union[complex, np.ndarray], exponent: complex,
+                 interval: ArgInterval) -> Union[complex, np.ndarray]:
+    """base**exponent with arg(base) taken in the given interval.
+
+    A complex ndarray base is raised elementwise and gives an array; any zero
+    element raises DomainError.
+    """
+    if isinstance(base, np.ndarray):
+        log_base = np.empty(base.shape, dtype=complex)
+        log_base.imag = interval.arg_array(base)  # DomainError on a zero element
+        log_base.real = np.log(np.abs(base))
+        return np.exp(exponent * log_base)
     if base == 0:
         raise DomainError("power_branch: zero base")
     return cmath.exp(exponent * complex(math.log(abs(base)), interval.arg(base)))

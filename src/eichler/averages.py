@@ -43,12 +43,14 @@ class AverageSpec:
 
     g represents an element of D^omega_{2-r}: holomorphic where the shifted
     points t+n land, with g(t) = O(|t|^{Re r - 2}) toward the relevant end.
+    g is called with a 1-D complex ndarray of shifted points and returns
+    their values elementwise (a scalar result stands for a constant g).
     """
 
     lam: complex
     sign: str
     r: complex
-    g: Callable[[complex], complex]
+    g: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.lam == 0:
@@ -66,12 +68,25 @@ class AverageSpec:
         return mod > 1.0 if self.sign == "plus" else mod < 1.0
 
 
-def _directed_sum(g: Callable[[complex], complex], lam: complex, sign: str,
+_FIRST_BLOCK = 64      # the cells that stop at n = 50 evaluate one block
+_MAX_BLOCK = 8192      # keeps the per-block temporaries near 1 MB
+
+
+def _values(f: Callable, z: np.ndarray) -> np.ndarray:
+    # f at every point of z; a scalar result is broadcast
+    return np.broadcast_to(np.asarray(f(z), dtype=complex), z.shape)
+
+
+def _directed_sum(g: Callable, lam: complex, sign: str,
                   t: complex, tol: float, max_terms: int,
                   scale_hint: float = 0.0) -> complex:
     # plus: sum_{n>=0} lam^{-n} g(t+n); minus: -sum_{m>=1} lam^m g(t-m).
     # Stopping rule: geometric extrapolation from the observed term ratio,
     # summation by parts on the unit circle, integral comparison at lam=1.
+    # g is evaluated on blocks of shifted points; the weights, points and
+    # partial sums are accumulated sequentially from the carried state, and
+    # the rule is tested at every n, so the sum returns the same partial sum
+    # at the same n as a term-by-term loop.
     if sign == "plus":
         mult, step = 1.0 / lam, 1.0
         w, z, out_sign = 1.0 + 0j, complex(t), 1.0
@@ -81,45 +96,69 @@ def _directed_sum(g: Callable[[complex], complex], lam: complex, sign: str,
     unit = abs(abs(mult) - 1.0) <= _UNIT_TOL
     at_one = unit and abs(mult - 1.0) <= _UNIT_TOL
     osc = abs(1.0 - mult) if unit and not at_one else 0.0
+    floor = max(scale_hint, 1e-300)
 
     acc = 0j
-    window: list = []
+    recent = np.zeros(9)  # |term| at n-9 .. n-1
     flat_run = 0
-    for n in range(max_terms):
-        term = w * g(z)
-        acc += term
-        m = abs(term)
-        scale = max(abs(acc), scale_hint, 1e-300)
-        if m <= 1e-15 * scale:
-            flat_run += 1
-        else:
-            flat_run = 0
-        window.append(m)
-        if len(window) > 10:
-            window.pop(0)
-        if n >= 50:
-            if flat_run >= 8:
-                return out_sign * acc
-            if len(window) == 10 and window[0] > 0 and m > 0:
-                rho = (m / window[0]) ** (1.0 / 9.0)
-                if at_one:
-                    p = -n * math.log(rho) if rho < 1.0 else 0.0
-                    tail = math.inf if p <= 1.05 else 1.5 * m * n / (p - 1.0)
-                elif unit:
-                    tail = 2.0 * m / osc
-                else:
-                    q = min(max(rho, abs(mult)), 0.999999)
-                    tail = m * q / (1.0 - q)
-                if tail <= tol * scale:
-                    return out_sign * acc
-        w *= mult
-        z += step
+    n0 = 0
+    size = _FIRST_BLOCK
+    while n0 < max_terms:
+        size = min(size, max_terms - n0)
+        n = np.arange(n0, n0 + size)
+        # one extra element carries w and z into the next block
+        ws = np.full(size + 1, mult, dtype=complex)
+        ws[0] = w
+        np.multiply.accumulate(ws, out=ws)
+        zs = np.full(size + 1, step, dtype=complex)
+        zs[0] = z
+        np.add.accumulate(zs, out=zs)
+        terms = ws[:size] * _values(g, zs[:size])
+        sums = np.empty(size + 1, dtype=complex)
+        sums[0] = acc
+        sums[1:] = terms
+        np.add.accumulate(sums, out=sums)
+        accs = sums[1:]
+        m = np.abs(terms)
+        scale = np.maximum(np.abs(accs), floor)
+        # length of the run of flat terms ending at each n
+        k = np.arange(size)
+        last_big = np.maximum.accumulate(np.where(m <= 1e-15 * scale, -1, k))
+        run = np.where(last_big >= 0, k - last_big, flat_run + k + 1)
+        window = np.concatenate((recent, m))
+        m9 = window[:size]  # |term| at n-9
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rho = (m / m9) ** (1.0 / 9.0)
+            if at_one:
+                p = np.where(rho < 1.0, -n * np.log(rho), 0.0)
+                tail = np.where(p <= 1.05, math.inf, 1.5 * m * n / (p - 1.0))
+            elif unit:
+                tail = 2.0 * m / osc
+            else:
+                q = np.minimum(np.maximum(rho, abs(mult)), 0.999999)
+                tail = m * q / (1.0 - q)
+        ratio_ok = (m9 > 0) & (m > 0) & (tail <= tol * scale)
+        stop = np.flatnonzero((n >= 50) & ((run >= 8) | ratio_ok))
+        if stop.size:
+            return out_sign * complex(accs[stop[0]])
+        acc, w, z = sums[-1], ws[-1], zs[-1]
+        recent = window[-9:]
+        flat_run = int(run[-1])
+        n0 += size
+        size = min(2 * size, _MAX_BLOCK)
     raise RefusalError(f"average did not reach tol={tol:g} within {max_terms} terms")
 
 
 def one_sided_average(spec: AverageSpec, t: complex, tol: float = 1e-9,
                       max_terms: int = 2_000_000) -> complex:
-    """Direct summation of the one-sided average in its convergence cell."""
+    """Direct summation of the one-sided average in its convergence cell.
+
+    spec.g is evaluated on blocks of shifted points t+n (1-D complex
+    ndarrays of up to a few thousand points); the sum stops at the same
+    term, and returns the same partial sum, as a term-by-term sum with the
+    same stopping rule would.  RefusalError if tol is not reached within
+    max_terms terms.
+    """
     if not spec.admissible:
         raise DomainError(
             "outside the absolute-convergence cell "
@@ -129,25 +168,26 @@ def one_sided_average(spec: AverageSpec, t: complex, tol: float = 1e-9,
                          tol, max_terms)
 
 
-def _coeffs_at_infinity(h: Callable[[complex], complex], radius: float,
+def _coeffs_at_infinity(h: Callable[[np.ndarray], np.ndarray], radius: float,
                         count: int, samples: int = 256) -> list:
     # Cauchy coefficients of h(z) = sum_k a_k (z-i)^{-k} from a circle about i
     th = 2.0 * math.pi * np.arange(samples) / samples
     zs = 1j + radius * np.exp(1j * th)
-    vals = np.array([complex(h(z)) for z in zs])
-    c = np.fft.ifft(vals)
+    c = np.fft.ifft(_values(h, zs))
     return [complex(c[k]) * radius ** k for k in range(count)]
 
 
-def average_continued(h: Callable[[complex], complex], r: complex, lam: complex,
+def average_continued(h: Callable[[np.ndarray], np.ndarray], r: complex, lam: complex,
                       sign: str, t: complex, N: int = 8, tol: float = 1e-10,
                       radius: float = 8.0, max_terms: int = 2_000_000) -> complex:
     """Av^± of g(z) = (z-i)^{r-2} h(z) by Hurwitz-Lerch continuation.
 
     h must be holomorphic for |z-i| >= radius with a finite limit at
-    infinity, and evaluable along the shifted points t+n.  The first N
-    coefficients of h are pushed through H(k+2-r, ...) values; the
-    remainder decays like |z|^{Re r-2-N} and is summed directly.
+    infinity, and evaluable along the shifted points t+n.  Like
+    AverageSpec.g, h is called with 1-D complex ndarrays (the circle
+    samples, then blocks of shifted points); a scalar result is broadcast.
+    The first N coefficients of h are pushed through H(k+2-r, ...) values;
+    the remainder decays like |z|^{Re r-2-N} and is summed directly.
     """
     r = complex(r)
     lam = complex(lam)
@@ -175,7 +215,7 @@ def average_continued(h: Callable[[complex], complex], r: complex, lam: complex,
             head += -a[k] * lam * cmath.exp(1j * math.pi * (k - r)) \
                 * hurwitz_lerch(s, alpha, 1.0 + 1j - t, tol=min(tol, 1e-11))
 
-    def g_rem(z: complex) -> complex:
+    def g_rem(z: np.ndarray) -> np.ndarray:
         wk = 1.0 / (z - 1j)
         poly = 0j
         p = 1.0 + 0j

@@ -259,8 +259,11 @@ def I_integral(r: complex, s: complex, tol: float = 1e-11) -> complex:
         y = z.imag  # exact on the vertical ray
         return (y ** s + y ** (r - s)) * eta_power_eval(r, z) / y / 1j
 
-    res = contour_integral(f, ContourSpec.vertical_ray(1j, decay=math.pi * r.real / 6.0),
-                           tol=tol)
+    try:
+        res = contour_integral(f, ContourSpec.vertical_ray(1j, decay=math.pi * r.real / 6.0),
+                               tol=tol)
+    except OverflowError as exc:
+        raise RefusalError(f"I(r,s) at r={r}, s={s}: the integrand overflows ({exc})") from exc
     return res.value
 
 

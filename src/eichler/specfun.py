@@ -124,9 +124,12 @@ def eta_power_coeffs(r: complex, K: int) -> EtaPowerSeries:
     return EtaPowerSeries(r=complex(r), K=K, coeffs=_eta_coeff_tuple(complex(r), K))
 
 
-def _eta_tail_bound(coeffs: Tuple[complex, ...], absq: float) -> float:
-    # empirical subexponential envelope |p_k| <= C e^{c sqrt(k)}, safety 10
-    K = len(coeffs) - 1
+@lru_cache(maxsize=None)
+def _eta_envelope(r: complex, K: int) -> Tuple[float, float]:
+    # empirical subexponential envelope |p_k| <= C e^{c sqrt(k)} of the
+    # coefficients up to K, as (growth of the envelope from K+1 to K+2,
+    # envelope at K+1)
+    coeffs = _eta_coeff_tuple(r, K)
     c = 0.0
     for k in range(2, K + 1):
         m = abs(coeffs[k])
@@ -134,10 +137,17 @@ def _eta_tail_bound(coeffs: Tuple[complex, ...], absq: float) -> float:
             c = max(c, math.log(m) / math.sqrt(k))
     C = max(abs(pk) * math.exp(-c * math.sqrt(k)) if k else 1.0
             for k, pk in enumerate(coeffs))
-    ratio = absq * math.exp(c * (math.sqrt(K + 2) - math.sqrt(K + 1)))
+    return (math.exp(c * (math.sqrt(K + 2) - math.sqrt(K + 1))),
+            C * math.exp(c * math.sqrt(K + 1)))
+
+
+def _eta_tail_bound(r: complex, K: int, absq: float) -> float:
+    # bound on sum_{k>K} |p_k| |q|^k from the envelope, safety 10
+    growth, lead = _eta_envelope(r, K)
+    ratio = absq * growth
     if ratio >= 1.0:
         return math.inf
-    head = C * math.exp(c * math.sqrt(K + 1)) * absq ** (K + 1)
+    head = lead * absq ** (K + 1)
     return 10.0 * head / (1.0 - ratio)
 
 
@@ -149,6 +159,13 @@ def eta_power_eval(r: complex, z: complex, tol: float = 1e-12) -> complex:
         raise DomainError("eta power needs Im z > 0")
     if r == 0:
         return 1.0 + 0j
+    try:
+        return _eta_power_series(r, z, tol)
+    except OverflowError as exc:
+        raise RefusalError(f"eta^(2r) at r={r}, z={z} overflows ({exc})") from exc
+
+
+def _eta_power_series(r: complex, z: complex, tol: float) -> complex:
     # pull back into Im >= 1/2 so |q| <= e^{-pi}
     fac = 1.0 + 0j
     w = z
@@ -168,15 +185,14 @@ def eta_power_eval(r: complex, z: complex, tol: float = 1e-12) -> complex:
     absq = abs(q)
     K = 16
     while True:
-        coeffs = _eta_coeff_tuple(r, K)
-        if _eta_tail_bound(coeffs, absq) <= tol:
+        if _eta_tail_bound(r, K, absq) <= tol:
             break
         if K >= 4096:
             raise DomainError("eta series truncation bound not met")
         K *= 2
     acc = 0j
     qk = 1.0 + 0j
-    for pk in coeffs:
+    for pk in _eta_coeff_tuple(r, K):
         acc += pk * qk
         qk *= q
     return fac * cmath.exp(1j * math.pi * r * w / 6.0) * acc

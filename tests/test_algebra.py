@@ -8,6 +8,8 @@ import pytest
 
 from eichler import (
     ARG_CUT_DOWN,
+    ARG_CUT_UP,
+    ARG_LOWER,
     ARG_UPPER,
     ArgInterval,
     DomainError,
@@ -67,6 +69,37 @@ def test_power_branch_generic_vs_explicit_log():
 def test_power_branch_zero_base():
     with pytest.raises(DomainError):
         power_branch(0j, 1.5, ARG_UPPER)
+
+
+# signed-zero points on both axes, so every interval's cut ray is hit from
+# both sides, plus points off the axes
+AXIS_BASES = [complex(x, s) for x in (2.0, -2.0, 0.3, -0.3) for s in (0.0, -0.0)] \
+    + [complex(s, y) for y in (1.5, -1.5, 0.4, -0.4) for s in (0.0, -0.0)]
+GENERIC_BASES = [1.0 + 1.0j, -3.0 + 0.5j, -0.2 - 4.0j, 0.7 - 0.1j, -1.0 - 1e-12j]
+
+
+# numpy's log and arctan2 may round the last bit differently from libm, and
+# exp turns that into a relative error of about |p| ulp(log b); these
+# exponents keep it under 1e-15, while a branch slip would be of order one
+@pytest.mark.parametrize("interval", [ARG_UPPER, ARG_LOWER, ARG_CUT_DOWN, ARG_CUT_UP])
+@pytest.mark.parametrize("p", [0.5 + 0.3j, -1.7 + 0j, -0.4 + 0.9j])
+def test_power_branch_array_matches_scalar(interval, p):
+    cut_ray = [cmath.rect(rad, interval.lo) for rad in (0.25, 1.0, 3.0)]
+    bases = AXIS_BASES + GENERIC_BASES + cut_ray
+    got = power_branch(np.array(bases), p, interval)
+    assert isinstance(got, np.ndarray) and got.shape == (len(bases),)
+    for b, x in zip(bases, got):
+        want = power_branch(b, p, interval)
+        assert abs(x - want) <= 1e-15 * abs(want), (b, x, want)
+    args = interval.arg_array(np.array(bases))
+    for b, a in zip(bases, args):
+        assert abs(a - interval.arg(b)) <= 1e-15, (b, a)
+
+
+@pytest.mark.parametrize("zero", [0j, complex(-0.0, 0.0), complex(0.0, -0.0)])
+def test_power_branch_array_zero_base(zero):
+    with pytest.raises(DomainError):
+        power_branch(np.array([1.0 + 1.0j, zero, 2.0j]), 1.5, ARG_UPPER)
 
 
 def test_power_branch_halfopen_sides():

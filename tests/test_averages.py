@@ -39,6 +39,61 @@ def slashed_g(h, r):
     return lambda z: power_branch(z - 1j, r - 2.0, ARG_CUT_UP) * h(z)
 
 
+def term_by_term(g, lam, sign, t, tol):
+    # the stopping rule of one_sided_average, one scalar term at a time:
+    # returns (number of terms summed, sum)
+    if sign == "plus":
+        mult, step, w, z, out_sign = 1.0 / lam, 1.0, 1.0 + 0j, t, 1.0
+    else:
+        mult, step, w, z, out_sign = lam, -1.0, lam, t - 1.0, -1.0
+    unit = abs(abs(mult) - 1.0) <= 1e-12
+    at_one = unit and abs(mult - 1.0) <= 1e-12
+    acc, window, flat_run = 0j, [], 0
+    for n in range(10 ** 6):
+        term = w * complex(g(z))
+        acc += term
+        m = abs(term)
+        scale = max(abs(acc), 1e-300)
+        flat_run = flat_run + 1 if m <= 1e-15 * scale else 0
+        window = (window + [m])[-10:]
+        if n >= 50:
+            if flat_run >= 8:
+                return n + 1, out_sign * acc
+            if len(window) == 10 and window[0] > 0 and m > 0:
+                rho = (m / window[0]) ** (1.0 / 9.0)
+                if at_one:
+                    p = -n * math.log(rho) if rho < 1.0 else 0.0
+                    tail = math.inf if p <= 1.05 else 1.5 * m * n / (p - 1.0)
+                elif unit:
+                    tail = 2.0 * m / abs(1.0 - mult)
+                else:
+                    q = min(max(rho, abs(mult)), 0.999999)
+                    tail = m * q / (1.0 - q)
+                if tail <= tol * scale:
+                    return n + 1, out_sign * acc
+        w *= mult
+        z += step
+    raise AssertionError("reference sum did not stop")
+
+
+def cut_g(r, cut):
+    # power_g, but exactly zero from Re z = cut on: flat runs of a chosen start
+    g = power_g(r)
+    return lambda z: np.where(np.real(z) < cut, g(z), 0.0)
+
+
+# (lam, sign, r, g, tolerances): stops spread over the first block seams
+# (n = 64, 192, 448, 960), through each branch of the stopping rule
+SEAM_CASES = [
+    (1.0 + 0j, "plus", -1.0, power_g(-1.0), np.geomspace(1e-3, 1e-6, 60)),
+    (1.0 + 0j, "minus", -1.0, power_g(-1.0), np.geomspace(1e-3, 1e-6, 60)),
+    (1.02 + 0j, "plus", 4.0, power_g(4.0), np.geomspace(1e-2, 1e-9, 60)),
+    (0.98 + 0j, "minus", 4.0, power_g(4.0), np.geomspace(1e-2, 1e-9, 60)),
+    (cmath.exp(0.3j), "plus", 0.3, power_g(0.3), np.geomspace(1e-2, 1e-4, 30)),
+] + [(1.05 + 0j, "plus", 0.7, cut_g(0.7, 2.5 + cut), [1e-300])
+     for cut in (55, 57, 58, 60, 63, 64, 65, 183, 185, 190, 191, 192, 441, 445)]
+
+
 # ---------------------------------------------------------------------------
 # one-sided averages: direct summation
 
@@ -54,6 +109,11 @@ CELLS = [
 ]
 
 
+# terms the former term-by-term loop summed in each cell, at t and at t+1
+STOP_INDEX = [(51, 51), (497173, 682180), (205134, 265221),
+              (682180, 497173), (265221, 205134), (51, 51)]
+
+
 class TestOneSidedAverage:
     def test_zero_function(self):
         spec = AverageSpec(1.5 + 0j, "plus", 0.7 + 0j, lambda z: 0j)
@@ -67,6 +127,30 @@ class TestOneSidedAverage:
         res = (one_sided_average(spec, t, tol=tol)
                - one_sided_average(spec, t + 1, tol=tol) / lam - g(t))
         assert abs(res) <= 1e-8
+
+    @pytest.mark.parametrize("cell,counts", list(zip(CELLS, STOP_INDEX)))
+    def test_stopping_index(self, cell, counts):
+        # the sum stops after exactly N terms: a budget of N suffices and one
+        # term less is refused
+        lam, sign, r, t, tol = cell
+        spec = AverageSpec(lam, sign, r, power_g(r))
+        for u, N in zip((t, t + 1), counts):
+            one_sided_average(spec, u, tol=tol, max_terms=N)
+            with pytest.raises(RefusalError):
+                one_sided_average(spec, u, tol=tol, max_terms=N - 1)
+
+    @pytest.mark.parametrize("lam,sign,r,g,tols", SEAM_CASES)
+    def test_matches_term_by_term_sum(self, lam, sign, r, g, tols):
+        # same stopping index (a budget of N suffices, N-1 is refused) and the
+        # same sum as the scalar loop, wherever the stop falls in a block
+        t = 2.5 - 0.3j if sign == "plus" else -2.5 - 0.3j
+        spec = AverageSpec(lam, sign, r, g)
+        for tol in tols:
+            N, want = term_by_term(g, lam, sign, t, tol)
+            got = one_sided_average(spec, t, tol=tol, max_terms=N)
+            assert abs(got - want) <= 1e-13 * abs(want), (tol, N)
+            with pytest.raises(RefusalError):
+                one_sided_average(spec, t, tol=tol, max_terms=N - 1)
 
     def test_translation(self):
         # Av(g)(t+1) = lam (Av(g)(t) - g(t))

@@ -90,6 +90,18 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(text)["error"]["type"] == "PoleError"
 
+    @pytest.mark.parametrize("argv,named", [
+        (["period", "--r", "1e300"], "r=(1e+300+0j)"),
+        (["l-value", "--r", "12", "--s", "1e300"], "s=(1e+300+0j)"),
+    ])
+    def test_overflowing_input_is_3(self, argv, named):
+        # finite but huge: refused by the library, naming the input
+        code, text = run(argv)
+        assert code == 3
+        err = json.loads(text)["error"]
+        assert err["type"] == "RefusalError"
+        assert named in err["reason"]
+
     def test_inadmissible_average_cell_is_3(self):
         code, text = run(["average", "--lam", "0.9", "--sign", "plus",
                           "--r", "0.7"])
