@@ -27,7 +27,7 @@ from .algebra import (ARG_CUT_DOWN, GroupElement, MultiplierSystem, S, T,
                       power_branch, slash_multiplier)
 from .errors import DomainError, PoleError, RefusalError
 from .quadrature import INF, ContourSpec, contour_integral
-from .specfun import (_sigma_one, binom_complex, eta_power_coeffs, eta_power_eval,
+from .specfun import (_pentagonal, binom_complex, eta_power_coeffs, eta_power_eval,
                       incomplete_gamma)
 
 __all__ = [
@@ -139,8 +139,8 @@ class FormEvaluator:
         return worst
 
 
-def _e2_eval(z: complex, tol: float = 1e-15) -> complex:
-    # E2(z) = 1 - 24 sum sigma_1(n) q^n, pulled back via
+def _e2_eval(z: complex) -> complex:
+    # E2 = 1 - 24 sum sigma_1(n) q^n = 1 + 24 q P'(q)/P(q), pulled back via
     # E2(z) = w^2 E2(w) - 6iw/pi with w = -1/z until Im w >= 1/2
     A = 1.0 + 0j
     B = 0.0 + 0j
@@ -153,16 +153,8 @@ def _e2_eval(z: complex, tol: float = 1e-15) -> complex:
         A, B = A * w * w, B - 6j * A * w / math.pi
     else:
         raise DomainError("E2 pullback did not terminate")
-    q = cmath.exp(2j * math.pi * w)
-    tot = 1.0 + 0j
-    qn = 1.0 + 0j
-    for n in range(1, 200):
-        qn *= q
-        term = -24.0 * _sigma_one(n) * qn
-        tot += term
-        if abs(term) < tol * abs(tot):
-            break
-    return A * tot + B
+    p, qdp = _pentagonal(cmath.exp(2j * math.pi * w))
+    return A * (1.0 + 24.0 * qdp / p) + B
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +204,10 @@ def eichler_cocycle(F: FormEvaluator, gamma: GroupElement, z0: complex,
     if abs(a - z0) <= 1e-14 * max(1.0, abs(z0)):
         # z0 is an elliptic fixed point of gamma; the cycle is contractible
         return CocycleSample(gamma, t, 0j, z0)
-    res = contour_integral(_omega(F, t), ContourSpec.geodesic(a, z0), tol=tol)
+    try:
+        res = contour_integral(_omega(F, t), ContourSpec.geodesic(a, z0), tol=tol)
+    except OverflowError as exc:
+        raise RefusalError(f"psi at r={F.weight}, t={t}: the integrand overflows ({exc})") from exc
     return CocycleSample(gamma, t, res.value, z0, res.error, res.converged)
 
 

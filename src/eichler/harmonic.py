@@ -118,16 +118,21 @@ def laplacian_r(F: Func, r: complex, z: complex, stencil: FDStencil = FDStencil(
     """
     _check_interior(z, stencil)
     h = stencil.h
-    f0 = F(z)
-    if stencil.order == 2:
-        lap = (F(z + h) + F(z - h) + F(z + 1j * h) + F(z - 1j * h) - 4.0 * f0) / (h * h)
-    else:
-        lap = (
-            -F(z + 2 * h) + 16 * F(z + h) - 30 * f0 + 16 * F(z - h) - F(z - 2 * h)
-            - F(z + 2j * h) + 16 * F(z + 1j * h) - 30 * f0 + 16 * F(z - 1j * h) - F(z - 2j * h)
-        ) / (12.0 * h * h)
+    try:
+        f0 = F(z)
+        if stencil.order == 2:
+            lap = (F(z + h) + F(z - h) + F(z + 1j * h) + F(z - 1j * h) - 4.0 * f0) / (h * h)
+        else:
+            lap = (
+                -F(z + 2 * h) + 16 * F(z + h) - 30 * f0 + 16 * F(z - h) - F(z - 2 * h)
+                - F(z + 2j * h) + 16 * F(z + 1j * h) - 30 * f0 + 16 * F(z - 1j * h)
+                - F(z - 2j * h)
+            ) / (12.0 * h * h)
+        dzbar = dzbar_fd(F, z, stencil)
+    except OverflowError as exc:
+        raise RefusalError(f"Delta_r F at r={complex(r)}, z={z} overflows ({exc})") from exc
     y = z.imag
-    return -y * y * lap + 2j * complex(r) * y * dzbar_fd(F, z, stencil)
+    return -y * y * lap + 2j * complex(r) * y * dzbar
 
 
 def shadow(F: Func, r: complex, z: complex, stencil: FDStencil = FDStencil()) -> complex:
@@ -297,7 +302,10 @@ def kernel_K(r: complex, z: complex, tau: complex) -> complex:
     if abs(z - tau) <= 1e-13 * max(1.0, abs(z)):
         raise PoleError("kernel pole at z = tau")
     zb = z.conjugate()
-    return 2j / (z - tau) * ((zb - tau) / (zb - z)) ** (complex(r) - 1.0)
+    try:
+        return 2j / (z - tau) * ((zb - tau) / (zb - z)) ** (complex(r) - 1.0)
+    except OverflowError as exc:
+        raise RefusalError(f"K_r(z; tau) at r={complex(r)}, z={z} overflows ({exc})") from exc
 
 
 def kernel_shadow(r: complex, z: complex, tau: complex) -> complex:

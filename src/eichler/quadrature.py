@@ -183,17 +183,18 @@ def _gl15(F: Callable[[float], complex], a: float, b: float) -> complex:
     return tot * half
 
 
-def _adapt(F, a: float, b: float, target: float, depth: int):
-    whole = _gl15(F, a, b)
+def _adapt(F, a: float, b: float, whole: complex, target: float, depth: int):
+    # whole is the panel's _gl15 sum, already computed by the caller
     m = 0.5 * (a + b)
-    fine = _gl15(F, a, m) + _gl15(F, m, b)
+    left, right = _gl15(F, a, m), _gl15(F, m, b)
+    fine = left + right
     err = abs(whole - fine)
     if err <= target or (b - a) < 1e-13 * max(1.0, abs(a), abs(b)):
         return fine, err, True
     if depth >= _MAX_DEPTH:
         return fine, err, False
-    v1, e1, ok1 = _adapt(F, a, m, 0.5 * target, depth + 1)
-    v2, e2, ok2 = _adapt(F, m, b, 0.5 * target, depth + 1)
+    v1, e1, ok1 = _adapt(F, a, m, left, 0.5 * target, depth + 1)
+    v2, e2, ok2 = _adapt(F, m, b, right, 0.5 * target, depth + 1)
     return v1 + v2, e1 + e2, ok1 and ok2
 
 
@@ -317,7 +318,8 @@ def contour_integral(f: Callable[[complex], complex], path: ContourSpec,
         for j in range(n):
             pa = a + (b - a) * j / n
             pb = a + (b - a) * (j + 1) / n
-            v, e, good = _adapt(F, pa, pb, target * (pb - pa) / max(total_len, 1.0), 0)
+            v, e, good = _adapt(F, pa, pb, _gl15(F, pa, pb),
+                                target * (pb - pa) / max(total_len, 1.0), 0)
             value += v
             err += e
             absacc += abs(v)

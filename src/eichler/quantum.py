@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .algebra import (ARG_CUT_DOWN, ARG_LOWER, ARG_UPPER, GroupElement,
-                      j_factor, multiplier_eval, power_branch, scaling_matrix)
+                      multiplier_eval, power_branch, scaling_matrix)
 from .cocycles import FormEvaluator, eichler_cocycle
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, RefusalError
 from .quadrature import ContourSpec, contour_integral
 
 __all__ = [
@@ -68,15 +68,20 @@ def quantum_value_eta(r: complex, a, z0: complex, tol: float = 1e-10,
     q = sigma.c
     w0 = sigma.inv().apply(complex(z0))
     shift = av - t  # z - t = (z - a) + (a - t), Im(z - t) > 0 on the ray
+    v = multiplier_eval(ms, sigma)
 
     def integrand(w: complex) -> complex:
         den = q * w + sigma.d
         dz = 1.0 / (den * den)
         zt = -1.0 / (q * den) + shift
-        return j_factor(ms, sigma, w) * F(w) * power_branch(zt, r - 2.0, ARG_CUT_DOWN) * dz
+        j = v * power_branch(den, r, ARG_UPPER)  # j_{v,r}(sigma, w)
+        return j * F(w) * power_branch(zt, r - 2.0, ARG_CUT_DOWN) * dz
 
     ray = ContourSpec.vertical_ray(w0, decay=F.decay_rate)
-    return complex(contour_integral(integrand, ray, tol=tol))
+    try:
+        return complex(contour_integral(integrand, ray, tol=tol))
+    except OverflowError as exc:
+        raise RefusalError(f"h_a at r={r}, a={a}: the integrand overflows ({exc})") from exc
 
 
 def base_point_shift(r: complex, a, z0: complex, z1: complex,

@@ -1,8 +1,8 @@
 """Special functions backing the period and average machinery.
 
-Fourier coefficients and evaluation of eta powers, the upper incomplete
-gamma function on the cut plane, Gauss and Kummer hypergeometric series,
-and the Hurwitz-Lerch zeta
+Fourier coefficients of eta powers and their evaluation by Euler's
+pentagonal series, the upper incomplete gamma function on the cut plane,
+Gauss and Kummer hypergeometric series, and the Hurwitz-Lerch zeta
 
     H(s, a, z) = sum_{n >= 0} e^{2 pi i a n} (z + n)^{-s},
 
@@ -124,78 +124,56 @@ def eta_power_coeffs(r: complex, K: int) -> EtaPowerSeries:
     return EtaPowerSeries(r=complex(r), K=K, coeffs=_eta_coeff_tuple(complex(r), K))
 
 
-@lru_cache(maxsize=None)
-def _eta_envelope(r: complex, K: int) -> Tuple[float, float]:
-    # empirical subexponential envelope |p_k| <= C e^{c sqrt(k)} of the
-    # coefficients up to K, as (growth of the envelope from K+1 to K+2,
-    # envelope at K+1)
-    coeffs = _eta_coeff_tuple(r, K)
-    c = 0.0
-    for k in range(2, K + 1):
-        m = abs(coeffs[k])
-        if m > 1.0:
-            c = max(c, math.log(m) / math.sqrt(k))
-    C = max(abs(pk) * math.exp(-c * math.sqrt(k)) if k else 1.0
-            for k, pk in enumerate(coeffs))
-    return (math.exp(c * (math.sqrt(K + 2) - math.sqrt(K + 1))),
-            C * math.exp(c * math.sqrt(K + 1)))
+def _pentagonal(q: complex) -> Tuple[complex, complex]:
+    # P(q) = prod_{n>=1} (1 - q^n) = sum_k (-1)^k q^{k(3k-1)/2} and q P'(q);
+    # for |q| <= e^{-pi} the omitted terms of P are below 2|q|^22/(1-|q|)
+    q2 = q * q
+    q5 = q2 * q2 * q
+    q7 = q5 * q2
+    q12 = q7 * q5
+    q15 = q12 * q2 * q
+    return (1.0 - q - q2 + q5 + q7 - q12 - q15,
+            -q - 2.0 * q2 + 5.0 * q5 + 7.0 * q7 - 12.0 * q12 - 15.0 * q15)
 
 
-def _eta_tail_bound(r: complex, K: int, absq: float) -> float:
-    # bound on sum_{k>K} |p_k| |q|^k from the envelope, safety 10
-    growth, lead = _eta_envelope(r, K)
-    ratio = absq * growth
-    if ratio >= 1.0:
-        return math.inf
-    head = lead * absq ** (K + 1)
-    return 10.0 * head / (1.0 - ratio)
+def eta_power_eval(r: complex, z: complex) -> complex:
+    """Evaluate eta^{2r}(z) for Im z > 0 by Euler's pentagonal series.
 
-
-def eta_power_eval(r: complex, z: complex, tol: float = 1e-12) -> complex:
-    """Evaluate eta^{2r}(z) for Im z > 0 by Fourier series with modular pullback."""
+    After a modular pullback to Im w >= 1/2, where |q| <= e^{-pi},
+    eta^{2r}(w) = exp(2r (pi i w/12 + log P(q))) with P(q) = prod (1 - q^n)
+    summed through q^15: the omitted terms are proven below 2|q|^22/(1-|q|)
+    < 3e-30 for every r, and |P - 1| < 0.05 makes the principal log the
+    analytic branch.  The exponent's rounding is amplified ~|2r|-fold, so
+    the relative error is a few |2r| ulps.
+    """
     r = complex(r)
     z = complex(z)
     if z.imag <= 0:
         raise DomainError("eta power needs Im z > 0")
     if r == 0:
         return 1.0 + 0j
-    try:
-        return _eta_power_series(r, z, tol)
-    except OverflowError as exc:
-        raise RefusalError(f"eta^(2r) at r={r}, z={z} overflows ({exc})") from exc
-
-
-def _eta_power_series(r: complex, z: complex, tol: float) -> complex:
-    # pull back into Im >= 1/2 so |q| <= e^{-pi}
     fac = 1.0 + 0j
     w = z
-    for _ in range(256):
-        n = round(w.real)
-        if n:
-            fac *= cmath.exp(1j * math.pi * r * n / 6.0)
-            w -= n
-        if w.imag >= 0.5:
-            break
-        # eta^{2r}(-1/w') = (-i w')^r eta^{2r}(w') with w' = -1/w
-        w = -1.0 / w
-        fac *= cmath.exp(r * cmath.log(-1j * w))
-    else:
-        raise DomainError("modular reduction failed to converge")
-    q = cmath.exp(2j * math.pi * w)
-    absq = abs(q)
-    K = 16
-    while True:
-        if _eta_tail_bound(r, K, absq) <= tol:
-            break
-        if K >= 4096:
-            raise DomainError("eta series truncation bound not met")
-        K *= 2
-    acc = 0j
-    qk = 1.0 + 0j
-    for pk in _eta_coeff_tuple(r, K):
-        acc += pk * qk
-        qk *= q
-    return fac * cmath.exp(1j * math.pi * r * w / 6.0) * acc
+    try:
+        for _ in range(256):
+            n = round(w.real)
+            if n:
+                fac *= cmath.exp(1j * math.pi * r * n / 6.0)
+                w -= n
+            if w.imag >= 0.5:
+                break
+            # eta^{2r}(-1/w') = (-i w')^r eta^{2r}(w') with w' = -1/w
+            w = -1.0 / w
+            fac *= cmath.exp(r * cmath.log(-1j * w))
+        else:
+            raise DomainError("modular reduction failed to converge")
+        p, _ = _pentagonal(cmath.exp(2j * math.pi * w))
+        x = 2.0 * r * (1j * math.pi * w / 12.0 + cmath.log(p))
+        if not cmath.isfinite(x):
+            raise OverflowError("the exponent is not finite")
+        return fac * cmath.exp(x)
+    except OverflowError as exc:
+        raise RefusalError(f"eta^(2r) at r={r}, z={z} overflows ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +474,14 @@ def _lerch_plain(s: complex, a: complex, z: complex, N: int) -> complex:
             + 0.5 * phase * _lerch_pow(w, s))
 
 
+def _lerch_scale(s: complex, a: complex, z: complex) -> float:
+    # |z|^{-Re s}, the size the direct-sum truncation targets are relative to
+    scale = max(abs(z), 1.0) ** (-s.real)
+    if scale == 0.0:
+        raise RefusalError(f"H(s,a,z) at s={s}, a={a}, z={z}: |z|^(-Re s) underflows")
+    return scale
+
+
 def hurwitz_lerch_detailed(s: complex, a: complex, z: complex,
                            tol: float = 1e-12, method: str = "auto") -> LerchEval:
     """Hurwitz-Lerch zeta H(s, a, z) with the evaluation method recorded.
@@ -522,7 +508,7 @@ def hurwitz_lerch_detailed(s: complex, a: complex, z: complex,
         return LerchEval(s, a, z, _lerch_geometric(s, a, z, q, tol), "direct")
     if sig >= 2.5 and method == "auto":
         # plain sum viable when the order-zero truncation cost stays modest
-        scale = max(abs(z), 1.0) ** (-sig)
+        scale = _lerch_scale(s, a, z)
         N = (tol * scale * (sig - 1)) ** (1.0 / (1.0 - sig))
         if N < 60000:
             N = int(N) + int(abs(z)) + 10
@@ -532,7 +518,7 @@ def hurwitz_lerch_detailed(s: complex, a: complex, z: complex,
             raise RefusalError("direct summation diverges for Re s <= 1 with |lambda| = 1")
         # oscillation makes boundary derivatives decay only like N^{-sig}:
         # after the B_2..B_6 corrections the remainder is ~ |B_8/8!| |f^(7)(N)|
-        scale = max(abs(z), 1.0) ** (-sig)
+        scale = _lerch_scale(s, a, z)
         target = max(tol, 1e-10) * scale
 
         def _rem(n: float) -> float:

@@ -92,7 +92,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,named", [
         (["period", "--r", "1e300"], "r=(1e+300+0j)"),
+        (["quantum", "--r", "1e300"], "r=(1e+300+0j)"),
         (["l-value", "--r", "12", "--s", "1e300"], "s=(1e+300+0j)"),
+        (["cocycle-check", "--r", "1e300"], "r=(1e+300+0j)"),
+        (["harmonic-check", "--r", "1e300"], "r=(1e+300+0j)"),
+        (["kernel-expand", "--r", "1e300"], "r=(1e+300+0j)"),
+        (["lerch", "--s", "1e300", "--a", "0.3", "--z", "1.7"], "s=(1e+300+0j)"),
+        (["lerch", "--s", "2.5", "--a", "0.3", "--z", "1e300"], "z=(1e+300+0j)"),
     ])
     def test_overflowing_input_is_3(self, argv, named):
         # finite but huge: refused by the library, naming the input

@@ -5,6 +5,7 @@ import csv
 import math
 import pathlib
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import exp1, gamma as gamma_fn
@@ -88,6 +89,27 @@ class TestFormEvaluator:
             lhs = F(-1.0 / z)
             rhs = z * z * F(z) - 6j * z / math.pi
             assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
+
+    def test_e2_matches_mpmath_lambert_series_unreduced(self):
+        # oracle: 1 - 24 sum n q^n/(1 - q^n) at the unreduced z, 30 digits;
+        # Im z in [0.05, 2] sends most points through the pullback, and
+        # Im z = 1/2 puts the reduced point where |q| = e^{-pi}
+        F = FormEvaluator.quasi_e2()
+        rng = np.random.default_rng(RNG_SEED)
+        zs = [complex(rng.uniform(-3, 3), rng.uniform(0.05, 2.0)) for _ in range(40)]
+        zs += [x + 0.5j for x in (-2.5, -1.3, -0.5, 0.25, 0.5, 2.5)]
+        worst = 0.0
+        with mp.workdps(30):
+            for z in zs:
+                q = mp.exp(2j * mp.pi * mp.mpc(z))
+                lambert = mp.mpf(0)
+                n, qn = 1, q
+                while abs(qn) > mp.mpf(10) ** -33:
+                    lambert += n * qn / (1 - qn)
+                    n, qn = n + 1, qn * q
+                want = 1 - 24 * lambert
+                worst = max(worst, float(abs(F(z) - want) / abs(want)))
+        assert worst <= 1e-14
 
     def test_rejects_lower_half_plane(self):
         with pytest.raises(DomainError):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eichler.algebra import IDENTITY, S, T, GroupElement
+from eichler.algebra import IDENTITY, S, T, GroupElement, multiplier_eval
 from eichler.errors import DomainError, PoleError
 from eichler.quantum import (base_point_shift, eta_defect,
                              quantum_value_eta, weight0_quantum)
@@ -77,6 +77,21 @@ class TestQuantumValue:
         via = base_point_shift(3.0, 1, 1j, 0.5 + 2j, tol=tol) \
             + quantum_value_eta(3.0, 1, 0.5 + 2j, tol=tol)
         assert abs(direct - via) < 2 * tol
+
+    def test_multiplier_evaluated_once_per_call(self, monkeypatch):
+        # v(sigma_a) does not depend on the quadrature node
+        calls = []
+
+        def counted(ms, g):
+            calls.append(g)
+            return multiplier_eval(ms, g)
+
+        monkeypatch.setattr("eichler.algebra.multiplier_eval", counted)
+        monkeypatch.setattr("eichler.quantum.multiplier_eval", counted)
+        for r, a in ((3.0, 1), (2.5 + 0.5j, Fraction(-2, 3))):
+            calls.clear()
+            quantum_value_eta(r, a, 1j)
+            assert len(calls) == 1
 
     def test_negative_weight_rejected(self):
         with pytest.raises(DomainError):

@@ -146,6 +146,29 @@ def test_eta_eval_low_point_matches_raw_series():
     assert rel_err(eta_power_eval(r, z), raw) < 1e-8
 
 
+def test_eta_eval_matches_mpmath_product_unreduced():
+    # oracle: exp(2r (pi i z/12 + sum log(1 - q^n))) at the unreduced z, 30
+    # digits; Im z in [0.05, 2] sends most points through the pullback, and
+    # Im z = 1/2 puts the reduced point where |q| = e^{-pi}
+    rng = np.random.default_rng(RNG_SEED)
+    zs = [complex(rng.uniform(-3, 3), rng.uniform(0.05, 2.0)) for _ in range(40)]
+    zs += [x + 0.5j for x in (-2.5, -1.3, -0.5, 0.25, 0.5, 2.5)]
+    rs = [12.0, 2.5, 0.5, -0.5, 5.5] + [complex(rng.uniform(-4, 12.5), rng.uniform(-1, 1))
+                                        for _ in range(5)]
+    worst = 0.0
+    for z in zs:
+        q = mp.exp(2j * mp.pi * mp.mpc(z))
+        log_eta = 1j * mp.pi * mp.mpc(z) / 12
+        qn = q
+        while abs(qn) > mp.mpf(10) ** -33:
+            log_eta += mp.log(1 - qn)
+            qn *= q
+        for r in rs:
+            want = mp.exp(2 * mp.mpc(r) * log_eta)
+            worst = max(worst, float(abs(eta_power_eval(r, z) - want) / abs(want)))
+    assert worst <= 1e-13
+
+
 def test_eta_inversion_covariance_random():
     # eta^{2r}(-1/z) = (-iz)^r eta^{2r}(z), principal power
     rng = np.random.default_rng(RNG_SEED)
@@ -155,6 +178,13 @@ def test_eta_inversion_covariance_random():
             lhs = eta_power_eval(r, -1.0 / z)
             rhs = cmath.exp(r * cmath.log(-1j * z)) * eta_power_eval(r, z)
             assert rel_err(lhs, rhs) < 1e-8
+
+
+def test_eta_eval_refuses_overflow():
+    # the result overflows, or 2r itself does
+    for r in (-1e300, -1e308, 1.7e308):
+        with pytest.raises(RefusalError):
+            eta_power_eval(r, 0.1 + 2j)
 
 
 def test_eta_eval_rejects_lower_half_plane():
