@@ -27,7 +27,7 @@ from typing import Callable, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, PoleError, UnsupportedGroupError
+from .errors import DomainError, PoleError, RefusalError, UnsupportedGroupError
 
 TWO_PI = 2.0 * math.pi
 
@@ -265,7 +265,11 @@ class MultiplierSystem:
     def modular(cls, r: complex) -> "MultiplierSystem":
         """The analytic family with v(T) = e^{pi i r/6}, v(S) = e^{-pi i r/2}."""
         r = complex(r)
-        return cls(r, cmath.exp(1j * math.pi * r / 6.0), cmath.exp(-1j * math.pi * r / 2.0))
+        try:
+            return cls(r, cmath.exp(1j * math.pi * r / 6.0),
+                       cmath.exp(-1j * math.pi * r / 2.0))
+        except OverflowError:
+            raise RefusalError(f"multiplier system overflows at r={r}") from None
 
     def __call__(self, g: GroupElement) -> complex:
         return multiplier_eval(self, g)

@@ -70,6 +70,9 @@ class AverageSpec:
 
 _FIRST_BLOCK = 64      # the cells that stop at n = 50 evaluate one block
 _MAX_BLOCK = 8192      # keeps the per-block temporaries near 1 MB
+_HEAD = 50             # no sum stops before n = 50
+_EB_ORDER = 24         # cap on the Euler-Boole order k
+_EPS = float(np.finfo(float).eps)
 
 
 def _values(f: Callable, z: np.ndarray) -> np.ndarray:
@@ -77,16 +80,80 @@ def _values(f: Callable, z: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(f(z), dtype=complex), z.shape)
 
 
+def _euler_boole_sum(g: Callable, mult: complex, step: float, w: complex,
+                     z: complex, tol: float, max_terms: int,
+                     floor: float) -> complex:
+    # sum_{n>=0} w mult^n g_n, g_n = g(z + n step), |mult| = 1, mult != 1:
+    # a direct head of N terms plus the Euler-Boole tail (c = mult/(1-mult),
+    # D the forward difference)
+    #   sum_{n>=N} mult^n g_n = mult^N/(1-mult) sum_{j<=k} c^j D^j g_N + R_k.
+    # |R_k| is estimated by summation by parts, 2|c|^{k+1}|D^{k+1}g|/|1-mult|
+    # with the larger of D^{k+1}g at N and N+1 (so that an accidentally
+    # small difference is not chosen); to it add the rounding of the
+    # differences (2^j eps max|g| each) and of the head (eps N max|term|).
+    # k <= _EB_ORDER minimises the total.  Each failed N doubles and the
+    # head sum carries over, so no point is evaluated twice; once the
+    # head's rounding alone exceeds tol, the sum is refused.
+    osc = abs(1.0 - mult)
+    c = mult / (1.0 - mult)
+    log_mult = cmath.log(mult)
+    width = _EB_ORDER + 3     # the window g_N .. g_{N+_EB_ORDER+2}
+    amp = 2.0 * abs(c) ** np.arange(1, _EB_ORDER + 2) / osc
+    rounding = _EPS / osc * np.cumsum((2.0 * abs(c)) ** np.arange(_EB_ORDER + 1))
+    head, head_max = 0j, 0.0
+    vals = np.empty(0, dtype=complex)  # g at [lo, hi), not yet in the head
+    lo = hi = 0
+    prev = 0.0                         # max|g| over the window at N/2
+    N = _HEAD // 2                     # a first stage that only carries
+    while N + width <= max_terms:
+        while hi < N + width:
+            end = min(hi + _MAX_BLOCK, N + width)
+            vals = np.concatenate((vals, _values(g, z + step * np.arange(hi, end))))
+            used = min(N, end) - lo
+            terms = w * np.exp(np.arange(lo, lo + used) * log_mult) * vals[:used]
+            head += complex(terms.sum())
+            head_max = max(head_max, float(np.abs(terms).max(initial=0.0)))
+            vals, lo, hi = vals[used:], lo + used, end
+        # the expansion needs g_n -> 0: max|g| over the window must fall from
+        # N/2 to N at least like |z|^{-1/2} (AverageSpec asks for
+        # O(|z|^{Re r-2}), Re r < 1); a max over the window, so that
+        # rounding noise in a tiny g does not count as growth
+        mag = float(np.abs(vals).max())
+        near, far = abs(z + step * (N // 2)), abs(z + step * N)
+        if N >= _HEAD and far > near and mag <= prev * math.sqrt(near / far):
+            lead = np.empty(_EB_ORDER + 1, dtype=complex)  # D^j g_N
+            big = np.empty(_EB_ORDER + 1)                  # |D^{j+1} g| at N, N+1
+            d = vals
+            for j in range(_EB_ORDER + 1):
+                lead[j] = d[0]
+                d = np.diff(d)
+                big[j] = max(abs(d[0]), abs(d[1]))
+            err = amp * big + rounding * mag + _EPS * N * head_max
+            k = int(np.argmin(err))
+            series = (c ** np.arange(k + 1) * lead[:k + 1]).sum()
+            total = head + w * cmath.exp(N * log_mult) / (1.0 - mult) * series
+            limit = tol * max(abs(total), floor)
+            if err[k] <= limit:
+                return total
+            if _EPS * N * head_max > limit:  # only grows with N
+                raise RefusalError(f"average cannot reach tol={tol:g}: the "
+                                   f"rounding of its {N}-term head exceeds it")
+        prev = mag
+        N *= 2
+    raise RefusalError(f"average did not reach tol={tol:g} within {max_terms} terms")
+
+
 def _directed_sum(g: Callable, lam: complex, sign: str,
                   t: complex, tol: float, max_terms: int,
                   scale_hint: float = 0.0) -> complex:
     # plus: sum_{n>=0} lam^{-n} g(t+n); minus: -sum_{m>=1} lam^m g(t-m).
-    # Stopping rule: geometric extrapolation from the observed term ratio,
-    # summation by parts on the unit circle, integral comparison at lam=1.
-    # g is evaluated on blocks of shifted points; the weights, points and
-    # partial sums are accumulated sequentially from the carried state, and
-    # the rule is tested at every n, so the sum returns the same partial sum
-    # at the same n as a term-by-term loop.
+    # On the unit circle away from lam = 1 the sum is a head plus the
+    # Euler-Boole tail (_euler_boole_sum).  Elsewhere the stopping rule is
+    # geometric extrapolation from the observed term ratio, or integral
+    # comparison at lam = 1; g is evaluated on blocks of shifted points, the
+    # weights, points and partial sums are accumulated sequentially from the
+    # carried state, and the rule is tested at every n, so the sum returns
+    # the same partial sum at the same n as a term-by-term loop.
     if sign == "plus":
         mult, step = 1.0 / lam, 1.0
         w, z, out_sign = 1.0 + 0j, complex(t), 1.0
@@ -95,8 +162,10 @@ def _directed_sum(g: Callable, lam: complex, sign: str,
         w, z, out_sign = complex(lam), t - 1.0, -1.0
     unit = abs(abs(mult) - 1.0) <= _UNIT_TOL
     at_one = unit and abs(mult - 1.0) <= _UNIT_TOL
-    osc = abs(1.0 - mult) if unit and not at_one else 0.0
     floor = max(scale_hint, 1e-300)
+    if unit and not at_one:
+        return out_sign * _euler_boole_sum(g, mult, step, w, z, tol,
+                                           max_terms, floor)
 
     acc = 0j
     recent = np.zeros(9)  # |term| at n-9 .. n-1
@@ -132,13 +201,11 @@ def _directed_sum(g: Callable, lam: complex, sign: str,
             if at_one:
                 p = np.where(rho < 1.0, -n * np.log(rho), 0.0)
                 tail = np.where(p <= 1.05, math.inf, 1.5 * m * n / (p - 1.0))
-            elif unit:
-                tail = 2.0 * m / osc
             else:
                 q = np.minimum(np.maximum(rho, abs(mult)), 0.999999)
                 tail = m * q / (1.0 - q)
         ratio_ok = (m9 > 0) & (m > 0) & (tail <= tol * scale)
-        stop = np.flatnonzero((n >= 50) & ((run >= 8) | ratio_ok))
+        stop = np.flatnonzero((n >= _HEAD) & ((run >= 8) | ratio_ok))
         if stop.size:
             return out_sign * complex(accs[stop[0]])
         acc, w, z = sums[-1], ws[-1], zs[-1]
@@ -154,10 +221,14 @@ def one_sided_average(spec: AverageSpec, t: complex, tol: float = 1e-9,
     """Direct summation of the one-sided average in its convergence cell.
 
     spec.g is evaluated on blocks of shifted points t+n (1-D complex
-    ndarrays of up to a few thousand points); the sum stops at the same
-    term, and returns the same partial sum, as a term-by-term sum with the
-    same stopping rule would.  RefusalError if tol is not reached within
-    max_terms terms.
+    ndarrays of up to a few thousand points).  Off the unit circle and at
+    lambda = 1 the sum stops at the same term, and returns the same partial
+    sum, as a term-by-term sum with the same stopping rule would.  On the
+    unit circle away from lambda = 1 it is a direct head of N >= 50 terms
+    plus the Euler-Boole expansion of the rest, N doubling until the
+    estimated truncation and rounding error meets tol; there a g whose
+    modulus does not fall like a power of |t+n| is refused.  RefusalError
+    if tol is not reached within max_terms evaluations of g.
     """
     if not spec.admissible:
         raise DomainError(
@@ -187,7 +258,9 @@ def average_continued(h: Callable[[np.ndarray], np.ndarray], r: complex, lam: co
     AverageSpec.g, h is called with 1-D complex ndarrays (the circle
     samples, then blocks of shifted points); a scalar result is broadcast.
     The first N coefficients of h are pushed through H(k+2-r, ...) values;
-    the remainder decays like |z|^{Re r-2-N} and is summed directly.
+    the remainder decays like |z|^{Re r-2-N} and is summed directly, as in
+    one_sided_average: term by term with its stopping rule at lambda = 1,
+    by a head plus the Euler-Boole tail elsewhere on the unit circle.
     """
     r = complex(r)
     lam = complex(lam)

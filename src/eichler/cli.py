@@ -514,8 +514,7 @@ def _crit_one_sided_averages(full: bool) -> List[dict]:
         ]
     out = []
     for lam, sign, r, t in cells:
-        quad = 2e-9 if abs(abs(complex(lam)) - 1) < 1e-12 and complex(lam) != 1 else 1e-10
-        _, res = _average_step(lam, sign, r, t, quad)
+        _, res = _average_step(lam, sign, r, t, 1e-10)
         out.append(_check(f"diff-eq lam={lam} {sign} r={r}", res, 1e-8))
     if full:
         # Lerch continuation at r = 1.6, outside every |lambda| = 1 cell

@@ -14,8 +14,11 @@ Conventions
 * H(s, a, z) needs Im a >= 0 so that |e^{2 pi i a n}| stays bounded.
 * Continuation of H uses the shift identity plus an order-8
   Euler-Maclaurin correction (Abel-Plana integral as fallback when the
-  correction stalls).  Adequate for Re s > -4, which covers every weight
-  exercised; relative accuracy degrades to ~1e-7 near Re s = -4.
+  correction stalls).  It is refused for Re s <= -4, where the error grows
+  quickly (6e-9 relative at s = -10, 6e-4 at s = -20, a = 0).  Against
+  mpmath on Re s in (-4, 0], |Im s| <= 3, the relative error stays below
+  ~3e-11 (a few 1e-12 at a = 0).  The geometric direct sum for Im a > 0
+  has no such limit.
 """
 
 from __future__ import annotations
@@ -538,6 +541,9 @@ def hurwitz_lerch_detailed(s: complex, a: complex, z: complex,
         for j in range(1, 4):
             val -= _BERN[j - 1] / _FACT[2 * j] * derivs[2 * j - 1] * phase
         return LerchEval(s, a, z, val, "direct")
+    if sig <= -4.0:
+        raise RefusalError(f"continuation of H(s, a, z) is not accurate for "
+                           f"Re s <= -4 (s={s})")
     # shifted Euler-Maclaurin, order 8
     if sig >= 0.3:
         R = 15.0 + 3.0 * abs(s) + 8.0 * abs(a)

@@ -4,6 +4,7 @@ and the parabolic difference equation."""
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -40,14 +41,13 @@ def slashed_g(h, r):
 
 
 def term_by_term(g, lam, sign, t, tol):
-    # the stopping rule of one_sided_average, one scalar term at a time:
-    # returns (number of terms summed, sum)
+    # the stopping rule of one_sided_average off the unit circle and at
+    # lam = 1, one scalar term at a time: returns (number of terms summed, sum)
     if sign == "plus":
         mult, step, w, z, out_sign = 1.0 / lam, 1.0, 1.0 + 0j, t, 1.0
     else:
         mult, step, w, z, out_sign = lam, -1.0, lam, t - 1.0, -1.0
-    unit = abs(abs(mult) - 1.0) <= 1e-12
-    at_one = unit and abs(mult - 1.0) <= 1e-12
+    at_one = abs(mult - 1.0) <= 1e-12
     acc, window, flat_run = 0j, [], 0
     for n in range(10 ** 6):
         term = w * complex(g(z))
@@ -64,8 +64,6 @@ def term_by_term(g, lam, sign, t, tol):
                 if at_one:
                     p = -n * math.log(rho) if rho < 1.0 else 0.0
                     tail = math.inf if p <= 1.05 else 1.5 * m * n / (p - 1.0)
-                elif unit:
-                    tail = 2.0 * m / abs(1.0 - mult)
                 else:
                     q = min(max(rho, abs(mult)), 0.999999)
                     tail = m * q / (1.0 - q)
@@ -89,9 +87,32 @@ SEAM_CASES = [
     (1.0 + 0j, "minus", -1.0, power_g(-1.0), np.geomspace(1e-3, 1e-6, 60)),
     (1.02 + 0j, "plus", 4.0, power_g(4.0), np.geomspace(1e-2, 1e-9, 60)),
     (0.98 + 0j, "minus", 4.0, power_g(4.0), np.geomspace(1e-2, 1e-9, 60)),
-    (cmath.exp(0.3j), "plus", 0.3, power_g(0.3), np.geomspace(1e-2, 1e-4, 30)),
 ] + [(1.05 + 0j, "plus", 0.7, cut_g(0.7, 2.5 + cut), [1e-300])
      for cut in (55, 57, 58, 60, 63, 64, 65, 183, 185, 190, 191, 192, 441, 445)]
+
+
+def lerch_average(lam, sign, r, t):
+    # the average of power_g(r) through mpmath's Lerch transcendent: for
+    # Re t > 0, (i(t+n))^{r-2} = i^{r-2} (t+n)^{r-2}; for Re t < 0,
+    # (i(t-m))^{r-2} = (-i)^{r-2} (m-t)^{r-2}
+    with mp.workdps(20):
+        lam, r, t = mp.mpc(lam), mp.mpc(r), mp.mpc(t)
+        if sign == "plus":
+            v = mp.exp(0.5j * mp.pi * (r - 2)) * mp.lerchphi(1 / lam, 2 - r, t)
+        else:
+            v = -mp.exp(-0.5j * mp.pi * (r - 2)) * lam * mp.lerchphi(lam, 2 - r, 1 - t)
+        return complex(v)
+
+
+# (lam, sign, r, t, tolerances) on the unit circle: two near lam = 1, where
+# |c| = |mu/(1-mu)| is 20 and 100 and the head must grow to thousands of
+# terms, one near lam = -1 on the minus side, and a tolerance sweep at e^{0.3i}
+UNIT_CASES = [
+    (cmath.exp(0.05j), "plus", 0.3, 2.5 - 0.3j, [1e-10]),
+    (cmath.exp(0.01j), "plus", 0.3, 2.5 - 0.3j, [1e-10]),
+    (cmath.exp(-2.9j), "minus", 0.5 + 0.4j, -1.5 - 0.7j, [1e-10]),
+    (cmath.exp(0.3j), "plus", 0.3, 2.5 - 0.3j, np.geomspace(1e-2, 1e-13, 23)),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -101,17 +122,20 @@ SEAM_CASES = [
 # one admissible point per convergence cell: (lam, sign, r, t, tol)
 CELLS = [
     (1.5 + 0j, "plus", 0.7 + 0j, 2.5 - 0.3j, 1e-10),
-    (LAM7, "plus", 0.3 + 0j, 2.5 - 0.3j, 2e-9),
+    (LAM7, "plus", 0.3 + 0j, 2.5 - 0.3j, 1e-10),
     (1.0 + 0j, "plus", -1.0 + 0j, 2.5 - 0.3j, 1e-10),
-    (LAM7, "minus", 0.3 + 0j, -2.5 - 0.3j, 2e-9),
+    (LAM7, "minus", 0.3 + 0j, -2.5 - 0.3j, 1e-10),
     (1.0 + 0j, "minus", -1.0 + 0j, -2.5 - 0.3j, 1e-10),
     (0.6 + 0j, "minus", 0.7 + 0j, -2.5 - 0.3j, 1e-10),
 ]
 
 
-# terms the former term-by-term loop summed in each cell, at t and at t+1
-STOP_INDEX = [(51, 51), (497173, 682180), (205134, 265221),
-              (682180, 497173), (265221, 205134), (51, 51)]
+# points of g each cell's sum evaluates, at t and at t+1: the term-by-term
+# stopping index, except on the unit circle away from 1 (the LAM7 cells),
+# where the sum stops at its first head of 50 terms plus the 27-point
+# Euler-Boole difference window
+STOP_INDEX = [(51, 51), (77, 77), (205134, 265221),
+              (77, 77), (265221, 205134), (51, 51)]
 
 
 class TestOneSidedAverage:
@@ -130,8 +154,8 @@ class TestOneSidedAverage:
 
     @pytest.mark.parametrize("cell,counts", list(zip(CELLS, STOP_INDEX)))
     def test_stopping_index(self, cell, counts):
-        # the sum stops after exactly N terms: a budget of N suffices and one
-        # term less is refused
+        # the sum evaluates exactly N points: a budget of N suffices and one
+        # point less is refused
         lam, sign, r, t, tol = cell
         spec = AverageSpec(lam, sign, r, power_g(r))
         for u, N in zip((t, t + 1), counts):
@@ -151,6 +175,32 @@ class TestOneSidedAverage:
             assert abs(got - want) <= 1e-13 * abs(want), (tol, N)
             with pytest.raises(RefusalError):
                 one_sided_average(spec, t, tol=tol, max_terms=N - 1)
+
+    @pytest.mark.parametrize("i", range(60))
+    def test_unit_circle_matches_mpmath(self, i):
+        # seeded cells on |lam| = 1 away from 1, at tol 1e-13
+        rng = np.random.default_rng(7000 + i)
+        sign = ("plus", "minus")[i % 2]
+        lam = cmath.exp(1j * rng.uniform(0.3, 2.0 * math.pi - 0.3))
+        r = complex(rng.uniform(-3.0, 0.95), rng.uniform(-1.0, 1.0))
+        t = complex(rng.uniform(0.5, 4.0), rng.uniform(-1.0, 1.0))
+        t = t if sign == "plus" else -t.conjugate()
+        got = one_sided_average(AverageSpec(lam, sign, r, power_g(r)), t, tol=1e-13)
+        want = lerch_average(lam, sign, r, t)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("lam,sign,r,t,tols", UNIT_CASES)
+    def test_unit_circle_cases_meet_tol(self, lam, sign, r, t, tols):
+        spec = AverageSpec(lam, sign, r, power_g(r))
+        want = lerch_average(lam, sign, r, t)
+        for tol in tols:
+            assert abs(one_sided_average(spec, t, tol=tol) - want) <= tol * abs(want)
+
+    @pytest.mark.parametrize("g", [lambda z: 1.0, lambda z: 1.0 + 1.0 / z])
+    def test_unit_circle_refuses_non_decaying_g(self, g):
+        # sum lam^{-n} g(t+n) diverges; its Abel sum must not be returned
+        with pytest.raises(RefusalError):
+            one_sided_average(AverageSpec(LAM7, "plus", 0.3, g), 2.5 - 0.3j)
 
     def test_translation(self):
         # Av(g)(t+1) = lam (Av(g)(t) - g(t))

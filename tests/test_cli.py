@@ -99,6 +99,9 @@ class TestExitCodes:
         (["kernel-expand", "--r", "1e300"], "r=(1e+300+0j)"),
         (["lerch", "--s", "1e300", "--a", "0.3", "--z", "1.7"], "s=(1e+300+0j)"),
         (["lerch", "--s", "2.5", "--a", "0.3", "--z", "1e300"], "z=(1e+300+0j)"),
+        (["period", "--r", "1,1e300"], "r=(1+1e+300j)"),
+        (["quantum", "--r", "1,1e300"], "r=(1+1e+300j)"),
+        (["cocycle-check", "--r", "1,1e300"], "r=(1+1e+300j)"),
     ])
     def test_overflowing_input_is_3(self, argv, named):
         # finite but huge: refused by the library, naming the input

@@ -411,6 +411,17 @@ def test_lerch_negative_s_envelope():
             assert rel_err(hurwitz_lerch(s, a, z), want) < 1e-7
 
 
+@pytest.mark.parametrize("s", [-4.0, -10.0, -20.0])
+def test_lerch_refuses_continuation_below_envelope(s):
+    # at Re s <= -4 the continuation drifts from mpmath's zeta(s, 0.6)
+    # (6e-9 relative at s = -10, 6e-4 at s = -20): refused, not returned
+    with pytest.raises(RefusalError):
+        hurwitz_lerch(s, 0.0, 0.6)
+    # the geometric direct sum for Im a > 0 is not limited
+    want = complex(mp.lerchphi(mp.e ** (-0.5 * mp.pi), s, 0.6))
+    assert rel_err(hurwitz_lerch(s, 0.25j, 0.6), want) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Lerch asymptotics
 
