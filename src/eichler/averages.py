@@ -71,7 +71,7 @@ class AverageSpec:
 _FIRST_BLOCK = 64      # the cells that stop at n = 50 evaluate one block
 _MAX_BLOCK = 8192      # keeps the per-block temporaries near 1 MB
 _HEAD = 50             # no sum stops before n = 50
-_EB_ORDER = 24         # cap on the Euler-Boole order k
+_EB_ORDER = 24         # highest difference D^j the Euler-Boole tail uses
 _EPS = float(np.finfo(float).eps)
 
 
@@ -84,22 +84,24 @@ def _euler_boole_sum(g: Callable, mult: complex, step: float, w: complex,
                      z: complex, tol: float, max_terms: int,
                      floor: float) -> complex:
     # sum_{n>=0} w mult^n g_n, g_n = g(z + n step), |mult| = 1, mult != 1:
-    # a direct head of N terms plus the Euler-Boole tail (c = mult/(1-mult),
-    # D the forward difference)
-    #   sum_{n>=N} mult^n g_n = mult^N/(1-mult) sum_{j<=k} c^j D^j g_N + R_k.
-    # |R_k| is estimated by summation by parts, 2|c|^{k+1}|D^{k+1}g|/|1-mult|
-    # with the larger of D^{k+1}g at N and N+1 (so that an accidentally
-    # small difference is not chosen); to it add the rounding of the
-    # differences (2^j eps max|g| each) and of the head (eps N max|term|).
-    # k <= _EB_ORDER minimises the total.  Each failed N doubles and the
-    # head sum carries over, so no point is evaluated twice; once the
-    # head's rounding alone exceeds tol, the sum is refused.
+    # a direct head of N terms plus the first k terms of the Euler-Boole
+    # tail (c = mult/(1-mult), D the forward difference)
+    #   sum_{n>=N} mult^n g_n = mult^N/(1-mult) sum_{j<k} c^j D^j g_N + R_k.
+    # |R_k| is estimated by summation by parts, 2|c|^k |D^k g|/|1-mult|,
+    # with the larger of D^k g at N and N+1 (so that an accidentally small
+    # difference is not chosen), and at k = 0 (the head alone) with the
+    # maximum of |g| over the difference window; to it add the rounding of
+    # the differences (2^j eps max|g| each) and of the head (eps N
+    # max|term|).  k <= _EB_ORDER + 1 minimises the total.  Each failed N
+    # doubles and the head sum carries over, so no point is evaluated twice.
     osc = abs(1.0 - mult)
     c = mult / (1.0 - mult)
     log_mult = cmath.log(mult)
     width = _EB_ORDER + 3     # the window g_N .. g_{N+_EB_ORDER+2}
-    amp = 2.0 * abs(c) ** np.arange(1, _EB_ORDER + 2) / osc
-    rounding = _EPS / osc * np.cumsum((2.0 * abs(c)) ** np.arange(_EB_ORDER + 1))
+    powers = c ** np.arange(_EB_ORDER + 2)
+    amp = 2.0 * np.abs(powers) / osc
+    rounding = _EPS / osc * np.cumsum(
+        np.concatenate(([0.0], (2.0 * abs(c)) ** np.arange(_EB_ORDER + 1))))
     head, head_max = 0j, 0.0
     vals = np.empty(0, dtype=complex)  # g at [lo, hi), not yet in the head
     lo = hi = 0
@@ -114,30 +116,30 @@ def _euler_boole_sum(g: Callable, mult: complex, step: float, w: complex,
             head += complex(terms.sum())
             head_max = max(head_max, float(np.abs(terms).max(initial=0.0)))
             vals, lo, hi = vals[used:], lo + used, end
-        # the expansion needs g_n -> 0: max|g| over the window must fall from
-        # N/2 to N at least like |z|^{-1/2} (AverageSpec asks for
-        # O(|z|^{Re r-2}), Re r < 1); a max over the window, so that
-        # rounding noise in a tiny g does not count as growth
         mag = float(np.abs(vals).max())
-        near, far = abs(z + step * (N // 2)), abs(z + step * N)
-        if N >= _HEAD and far > near and mag <= prev * math.sqrt(near / far):
+        if N >= _HEAD:
             lead = np.empty(_EB_ORDER + 1, dtype=complex)  # D^j g_N
-            big = np.empty(_EB_ORDER + 1)                  # |D^{j+1} g| at N, N+1
+            big = np.empty(_EB_ORDER + 2)                  # the |D^k g| above
+            big[0] = mag
             d = vals
             for j in range(_EB_ORDER + 1):
                 lead[j] = d[0]
                 d = np.diff(d)
-                big[j] = max(abs(d[0]), abs(d[1]))
+                big[j + 1] = max(abs(d[0]), abs(d[1]))
             err = amp * big + rounding * mag + _EPS * N * head_max
+            # k >= 1 needs g_n -> 0 (else it is the Abel sum): max|g| over
+            # the window must fall from N/2 to N at least like |z|^{-1/2}
+            # (AverageSpec asks for O(|z|^{Re r-2}), Re r < 1).  The head
+            # alone does not: it is accepted once the window is negligible,
+            # as when g is rounding noise that no longer falls
+            near, far = abs(z + step * (N // 2)), abs(z + step * N)
+            if not (far > near and mag <= prev * math.sqrt(near / far)):
+                err[1:] = math.inf
             k = int(np.argmin(err))
-            series = (c ** np.arange(k + 1) * lead[:k + 1]).sum()
+            series = (powers[:k] * lead[:k]).sum()
             total = head + w * cmath.exp(N * log_mult) / (1.0 - mult) * series
-            limit = tol * max(abs(total), floor)
-            if err[k] <= limit:
+            if err[k] <= tol * max(abs(total), floor):
                 return total
-            if _EPS * N * head_max > limit:  # only grows with N
-                raise RefusalError(f"average cannot reach tol={tol:g}: the "
-                                   f"rounding of its {N}-term head exceeds it")
         prev = mag
         N *= 2
     raise RefusalError(f"average did not reach tol={tol:g} within {max_terms} terms")
@@ -227,8 +229,10 @@ def one_sided_average(spec: AverageSpec, t: complex, tol: float = 1e-9,
     unit circle away from lambda = 1 it is a direct head of N >= 50 terms
     plus the Euler-Boole expansion of the rest, N doubling until the
     estimated truncation and rounding error meets tol; there a g whose
-    modulus does not fall like a power of |t+n| is refused.  RefusalError
-    if tol is not reached within max_terms evaluations of g.
+    modulus does not fall like a power of |t+n| is never given its Abel
+    sum: only the head alone is accepted, once the next values of g are
+    negligible.  RefusalError if tol is not reached within max_terms
+    evaluations of g.
     """
     if not spec.admissible:
         raise DomainError(
@@ -261,6 +265,8 @@ def average_continued(h: Callable[[np.ndarray], np.ndarray], r: complex, lam: co
     the remainder decays like |z|^{Re r-2-N} and is summed directly, as in
     one_sided_average: term by term with its stopping rule at lambda = 1,
     by a head plus the Euler-Boole tail elsewhere on the unit circle.
+    Re r >= 6 is refused: H(2-r, ...) would need hurwitz_lerch's
+    continuation at Re s <= -4, outside its accuracy envelope.
     """
     r = complex(r)
     lam = complex(lam)
@@ -271,6 +277,9 @@ def average_continued(h: Callable[[np.ndarray], np.ndarray], r: complex, lam: co
         raise DomainError("continuation is for |lambda| = 1")
     if N < 1 or N <= r.real - 1.0:
         raise DomainError("remainder order N must exceed Re r - 1")
+    if r.real >= 6.0:
+        raise RefusalError(f"r = {r}: Re r >= 6 puts H(2-r, ...) outside the "
+                           "continuation's envelope Re s > -4")
     a = _coeffs_at_infinity(h, radius, N)
     scale_a = max(max(abs(x) for x in a), 1.0)
     kmin = 2 if abs(a[0]) <= 1e-9 * scale_a else 1

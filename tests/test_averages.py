@@ -270,6 +270,25 @@ class TestAverageContinued:
         v11 = average_continued(rational_h, 0.7, -1.0, "plus", 4.0 - 0.3j, N=11)
         assert abs(v8 - v11) <= 1e-8
 
+    @pytest.mark.parametrize("h", [rational_h, lambda z: 0.7 + (z - 1j) ** -3],
+                             ids=["rational", "terminating"])
+    @pytest.mark.parametrize("r", [1.6, 2.5, 3.5, 5.5])
+    @pytest.mark.parametrize("sign,t", [("plus", 3.0 - 0.2j),
+                                        ("minus", -3.0 - 0.2j)])
+    def test_remainder_at_rounding_level(self, h, r, sign, t):
+        # at N = 16 (and for the terminating h at any N) h - poly is rounding
+        # noise ~ eps |z|^{Re r-2}, which does not fall for Re r >= 2: the
+        # sum must still stop once the noise is negligible, not be refused
+        v8 = average_continued(h, r, LAM7, sign, t, N=8, tol=1e-10)
+        v16 = average_continued(h, r, LAM7, sign, t, N=16, tol=1e-10)
+        assert abs(v16 - v8) <= 1e-9 * abs(v8)
+
+    def test_refuses_weight_outside_lerch_envelope(self):
+        # Re r >= 6 would need H(2-r, ...) at Re s <= -4
+        with pytest.raises(RefusalError, match="r = "):
+            average_continued(rational_h, 6.5, LAM7, "plus", 3.0 - 0.2j)
+        average_continued(rational_h, 5.9, LAM7, "plus", 3.0 - 0.2j)
+
     def test_vanishing_representative_at_integer_r(self):
         # h(oo) = 0 pushes the first pole to r = 2, so r = 1 is fine and the
         # average collapses to a single Lerch value
