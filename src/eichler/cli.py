@@ -26,14 +26,14 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import exp1, gamma as gamma_fn
+from scipy.special import exp1
 
 from .algebra import (ARG_CUT_UP, ARG_UPPER, IDENTITY, GroupElement, S, T,
                       power_branch, slash, slash_multiplier)
 from .averages import (AverageSpec, average_asymptotic_coeffs,
                        average_continued, one_sided_average)
 from .cocycles import (DEFAULT_SAMPLES, FormEvaluator, GoldfeldResult, I_integral,
-                       L_eta, eichler_cocycle, goldfeld_lprime, newform37_coeffs,
+                       L_eta_detailed, eichler_cocycle, goldfeld_lprime, newform37_coeffs,
                        period_function, verify_period_relations)
 from .errors import DomainError, EichlerError
 from .harmonic import (PolarIndex, bol_operator, cauchy_formula, e2_star,
@@ -185,8 +185,7 @@ def _cocycle_relation_residual(F: FormEvaluator, gamma: GroupElement,
 
 def _l_value_sides(r: complex, s: complex) -> Tuple[complex, complex]:
     # I(r,s) and (2 pi)^{-s} Gamma(s) L(eta^{2r}, s), equal by the Mellin transform
-    mellin = I_integral(r, s)
-    return mellin, (2 * math.pi) ** (-s) * complex(gamma_fn(s)) * L_eta(r, s)
+    return I_integral(r, s), L_eta_detailed(r, s).completed
 
 
 def _average_step(lam: complex, sign: str, r: complex, t: complex,
@@ -445,7 +444,8 @@ def _crit_period_relations(full: bool) -> List[dict]:
 
 def _crit_l_value_identity(full: bool) -> List[dict]:
     out = []
-    for s in ((6.0, 8.0) if full else (6.0,)):
+    # s = 20 and s = -9.5 reach Gamma(a, u) at Re a > |u| in the L-series
+    for s in ((6.0, 8.0, 20.0, -9.5) if full else (6.0,)):
         mell, other = _l_value_sides(12.0, s)
         out.append(_check(f"I(12,{s}) vs Gamma-L", abs(mell - other) / abs(other), 1e-8))
     sym = abs(I_integral(12.0, 3.7) - I_integral(12.0, 8.3)) / abs(I_integral(12.0, 3.7))

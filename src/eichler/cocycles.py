@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
+from scipy.special import rgamma as _rgamma
 
 from .algebra import (ARG_CUT_DOWN, GroupElement, MultiplierSystem, S, T,
                       power_branch, slash_multiplier)
@@ -237,7 +237,6 @@ def period_function(r: complex, t: complex, tol: float = 1e-10) -> complex:
 # ---------------------------------------------------------------------------
 # Mellin transform and L-series of eta powers
 
-
 def I_integral(r: complex, s: complex, tol: float = 1e-11) -> complex:
     """I(r,s) = int_0^infty y^s eta^{2r}(iy) dy/y, Re r > 0.
 
@@ -264,69 +263,53 @@ def I_integral(r: complex, s: complex, tol: float = 1e-11) -> complex:
 
 @dataclass(frozen=True)
 class LSeriesValue:
+    """L(eta^{2r}, s) with its completion Lambda(s) = (2pi)^{-s} Gamma(s) L(s)."""
+
     value: complex
+    completed: complex
     tail: float
-    method: str  # "direct" | "gamma-smoothed"
-
-    def __complex__(self) -> complex:
-        return self.value
 
 
-def L_eta_detailed(r: complex, s: complex, K: int = 400,
-                   tol: float = 1e-9) -> LSeriesValue:
-    """L(eta^{2r}, s) = sum_k p_k(r) (r/12 + k)^{-s}.
+def L_eta_detailed(r: complex, s: complex) -> LSeriesValue:
+    """L(eta^{2r}, s) = sum_k p_k(r) (r/12 + k)^{-s}, continued to every s.
 
-    The direct sum is used when it is certified by a power-law tail bound;
-    otherwise the value is recovered from the split Mellin transform,
-    termwise: L = (2pi)^s/Gamma(s) sum_k p_k [c_k^{-s} Gamma(s,c_k)
-    + c_k^{s-r} Gamma(r-s,c_k)], c_k = 2pi(k + r/12).
+    The split Mellin series, Re r > 0: L = (2pi)^s Lambda(s) / Gamma(s) with
+    Lambda(s) = sum_k p_k [c_k^{-s} Gamma(s,c_k) + c_k^{s-r} Gamma(r-s,c_k)],
+    c_k = 2pi(k + r/12).  `tail` estimates L's absolute error: twice the last
+    term (the terms fall like e^{-c_k}) plus 64 ulps of sum |summands| (their
+    rounding measured below 5e-15 of it), times |(2pi)^s / Gamma(s)|.  The
+    summands cancel at large |Im s|, as |Gamma(s)| ~ e^{-pi |Im s|/2}; a tail
+    above sqrt(eps) max(|L|, |(r/12)^{-s}|) is refused (at r = 12 from
+    |Im s| ~ 28 for Re s = 14, ~ 18 for Re s = 6).
     """
     r = complex(r)
     s = complex(s)
-    direct_ok = s.real > 1.0 + r.real / 12.0
-    if direct_ok:
-        p = eta_power_coeffs(r, K).coeffs
-        terms = [p[k] * (r / 12.0 + k) ** (-s) for k in range(K + 1)]
-        val = sum(terms)
-        tail = _power_tail_bound([abs(x) for x in terms])
-        if tail is not None and tail <= tol * max(abs(val), 1e-300):
-            return LSeriesValue(val, float(tail), "direct")
     if r.real <= 0:
-        raise RefusalError("series diverges and the integral fallback needs Re r > 0")
-    # gamma-smoothed route: rapidly convergent for every s
+        raise RefusalError(f"L(eta^(2r), s) at r={r}: the split Mellin series needs Re r > 0")
     p = eta_power_coeffs(r, 60).coeffs
-    acc = 0j
-    last = 0.0
-    for k in range(61):
-        c = 2 * math.pi * (k + r / 12.0)
-        term = p[k] * (c ** (-s) * incomplete_gamma(s, c)
-                       + c ** (s - r) * incomplete_gamma(r - s, c))
-        acc += term
-        last = abs(term)
-        if last < 1e-18 * max(abs(acc), 1e-300) and k > 4:
-            break
-    scale = (2 * math.pi) ** s / _gamma_fn(s)
-    return LSeriesValue(complex(acc * scale), float(2 * last * abs(scale)), "gamma-smoothed")
+    acc, mag = 0j, 0.0
+    try:
+        for k in range(61):
+            c = 2 * math.pi * (k + r / 12.0)
+            lo = p[k] * c ** (-s) * incomplete_gamma(s, c)
+            hi = p[k] * c ** (s - r) * incomplete_gamma(r - s, c)
+            acc += lo + hi
+            mag += abs(lo) + abs(hi)
+            if abs(lo + hi) < 1e-18 * max(abs(acc), 1e-300) and k > 4:
+                break
+        scale = (2 * math.pi) ** s * complex(_rgamma(s))
+        value = acc * scale
+        size = max(abs(value), abs((r / 12.0) ** (-s)))
+    except OverflowError as exc:
+        raise RefusalError(f"L(eta^(2r), s) at r={r}, s={s} overflows ({exc})") from exc
+    tail = float((2 * abs(lo + hi) + 2.0 ** -46 * mag) * abs(scale))  # 64 ulps
+    if not tail <= 2.0 ** -26 * size:  # sqrt(eps)
+        raise RefusalError(f"L(eta^(2r), s) at r={r}, s={s} cancels to {tail / size:.1e}")
+    return LSeriesValue(value, acc, tail)
 
 
-def _power_tail_bound(mags: Sequence[float]) -> Optional[float]:
-    # fit |term_k| ~ A k^{-p} on window means at K/2 and K; smooths the
-    # sign oscillation of the coefficients
-    K = len(mags) - 1
-    if K < 64:
-        return None
-    w2 = np.mean(mags[K - 10:K + 1])
-    w1 = np.mean(mags[K // 2 - 5:K // 2 + 6])
-    if w2 <= 0 or w1 <= 0:
-        return 0.0
-    p = math.log(w1 / w2) / math.log(K / (K / 2))
-    if p <= 1.05:
-        return None
-    return 2.0 * w2 * K / (p - 1.0)
-
-
-def L_eta(r: complex, s: complex, K: int = 400) -> complex:
-    return L_eta_detailed(r, s, K).value
+def L_eta(r: complex, s: complex) -> complex:
+    return L_eta_detailed(r, s).value
 
 
 # ---------------------------------------------------------------------------

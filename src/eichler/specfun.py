@@ -195,6 +195,18 @@ def _gamma_series_direct(a: complex, u: complex) -> complex:
     return complex(_cgamma(a)) - cmath.exp(a * cmath.log(u)) * s
 
 
+def _gamma_series_lower(a: complex, u: complex) -> complex:
+    # Gamma(a) - u^a e^{-u} sum_n u^n / (a)_{n+1}; for |u| < Re a + 1 the
+    # ratios u/(a+n+1) have modulus below 1 and the terms never grow
+    s = term = 1.0 / a
+    for n in range(1, 1000):
+        term *= u / (a + n)
+        s += term
+        if abs(term) < 1e-18 * abs(s):
+            break
+    return complex(_cgamma(a)) - cmath.exp(a * cmath.log(u) - u) * s
+
+
 def _gamma_series_int_nonpos(n: int, u: complex) -> complex:
     # exact route for a = -n <= 0: E_1-type series then downward recurrence
     s = 0j
@@ -274,9 +286,10 @@ def _gamma_arc(a: complex, u: complex) -> complex:
 def incomplete_gamma(a: complex, u: complex) -> complex:
     """Upper incomplete gamma Gamma(a, u) = int_u^inf v^{a-1} e^{-v} dv.
 
-    Principal branch, defined on u in C minus (-inf, 0].  Series for small
-    |u|, continued fraction for Re u >= 0, asymptotic series for very large
-    |u|, and an arc-path integral bridging the left half plane.
+    Principal branch, defined on u in C minus (-inf, 0].  Alternating series
+    for small |u|; for Re u >= 0 the lower-gamma series Gamma(a) - gamma(a, u)
+    while |u| < Re a + 1 and the continued fraction beyond; asymptotic series
+    for very large |u|, and an arc-path integral bridging the left half plane.
     """
     a = complex(a)
     u = complex(u)
@@ -290,6 +303,8 @@ def incomplete_gamma(a: complex, u: complex) -> complex:
             return _gamma_series_int_nonpos(int(-a.real), u)
         return _gamma_series_direct(a, u)
     if u.real >= 0:
+        if au < a.real + 1.0:
+            return _gamma_series_lower(a, u)
         return _gamma_cf(a, u)
     if au >= 35.0 + 2.2 * abs(a):
         return _gamma_asymp(a, u)

@@ -185,6 +185,13 @@ class TestSubcommands:
         a, b = (complex(*row["value"]) for row in rec["results"])
         assert abs(a - b) <= 1e-8 * abs(b)
 
+    @pytest.mark.parametrize("s", ["-2", "0"])
+    def test_l_value_at_gamma_pole(self, s):
+        # Gamma(s) has a pole and L(s) a trivial zero; I(12, s) is finite
+        code, rec = run_json(["l-value", "--r", "12", "--s", s])
+        assert code == 0
+        assert rec["residuals"][0] <= 1e-8
+
     def test_quantum_rational_cusp(self):
         code, rec = run_json(["quantum", "--r", "3", "--a", "1/2",
                               "--delta", "T"])

@@ -318,27 +318,55 @@ class TestLEta:
         rhs = (2 * math.pi) ** s / gamma_fn(s) * I_integral(12.0, s)
         assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
 
-    def test_direct_route_is_stable_in_K(self):
-        # at (r,s)=(3,12) the direct sum certifies; growing K stays within
-        # the reported tail bound
-        out = L_eta_detailed(3.0, 12.0, K=400)
-        assert out.method == "direct"
-        out2 = L_eta_detailed(3.0, 12.0, K=420)
-        assert abs(out.value - out2.value) <= out.tail + out2.tail
+    def test_matches_exact_dirichlet_sum(self):
+        # L(Delta, s) = sum tau(n) n^{-s}, tau from the q-product oracle; by
+        # Deligne |tau(n)| <= d(n) n^{11/2}, so past n = 300 the tail is
+        # below 1e-15 relative at Re s >= 14
+        tau = _qprod_pow24(299)
+        for s in (14.0, 20.0, 25.0, 14.0 + 2.0j):
+            want = sum(complex(tau[k]) * (k + 1.0) ** (-s) for k in range(300))
+            assert abs(L_eta(12.0, s) - want) <= 1e-13 * abs(want)
 
-    def test_smoothed_route_kicks_in(self):
-        out = L_eta_detailed(12.0, 6.0)
-        assert out.method == "gamma-smoothed"
+    def test_tail_covers_cancellation_or_refuses(self):
+        # |Gamma(s)| ~ e^{-pi |Im s|/2}: the split series cancels at large
+        # |Im s|, and the value is returned within its tail or refused
+        tau = _qprod_pow24(299)
+        for t in (10.0, 20.0, 27.0, 40.0, 60.0):
+            s = 14.0 + t * 1j
+            want = sum(complex(tau[k]) * (k + 1.0) ** (-s) for k in range(300))
+            if t >= 40.0:
+                with pytest.raises(RefusalError, match="cancels"):
+                    L_eta_detailed(12.0, s)
+                continue
+            out = L_eta_detailed(12.0, s)
+            assert abs(out.value - want) <= out.tail
+        # at the first zero on the critical line only an absolute error is
+        # meaningful; the value returns within its tail of 0
+        out = L_eta_detailed(12.0, 6.0 + 9.22237939992110252j)
+        assert abs(out.value) <= out.tail <= 1e-10
+
+    def test_completed_matches_integral(self):
+        # very negative Re s reaches Gamma(a, u) at Re a > |u|; small r sits
+        # where a direct Dirichlet sum converges slowly; at s = -2, a pole
+        # of Gamma(s), L has a trivial zero
+        for r, s in ((12.0, -9.5), (0.05, 2.0), (12.0, -2.0)):
+            lhs = I_integral(r, s)
+            out = L_eta_detailed(r, s)
+            assert abs(out.completed - lhs) <= 1e-12 * abs(lhs)
+            want = (2 * math.pi) ** s * float(mp.rgamma(s)) * lhs
+            assert abs(out.value - want) <= 1e-12 * abs(want)
 
     def test_divergent_without_fallback(self):
         with pytest.raises(RefusalError):
             L_eta_detailed(-1.0, 2.0)
+        with pytest.raises(RefusalError):
+            L_eta_detailed(-0.01, 5.0)
 
     def test_both_routes_return_builtin_types(self):
-        for s, method in ((10.0, "direct"), (6.0, "gamma-smoothed")):
+        for s in (10.0, 6.0):
             out = L_eta_detailed(12.0, s)
-            assert out.method == method
             assert type(out.value) is complex and type(out.tail) is float
+            assert type(out.completed) is complex
             assert type(L_eta(12.0, s)) is complex
 
 

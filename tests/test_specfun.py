@@ -234,6 +234,15 @@ def test_gamma_against_mpmath_grid():
         u = radius * cmath.exp(1j * theta)
         want = complex(mp.gammainc(mp.mpc(a), mp.mpc(u)))
         assert rel_err(incomplete_gamma(a, u), want) < 1e-10
+    # large Re a against u in the right half plane, on both sides of
+    # |u| = Re a + 1, where the lower series meets the continued fraction
+    cells = [(complex(rng.uniform(4, 45), rng.uniform(-5, 5)),
+              complex(rng.uniform(0, 40), rng.uniform(-10, 10))) for _ in range(40)]
+    cells += [(20.0, 2 * math.pi), (30.0, 2 * math.pi), (20.0, 5.9),
+              (21.5, 2 * math.pi), (10.0 + 2j, 10.99), (10.0 + 2j, 11.01)]
+    for a, u in cells:
+        want = complex(mp.gammainc(mp.mpc(a), mp.mpc(u)))
+        assert rel_err(incomplete_gamma(a, u), want) < 1e-12, (a, u)
 
 
 def test_gamma_rejects_the_cut():
