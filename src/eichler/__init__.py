@@ -6,7 +6,7 @@ The package is organized bottom-up:
 * :mod:`eichler.specfun`    -- eta powers, incomplete gamma, 2F1/1F1, Hurwitz-Lerch
 * :mod:`eichler.quadrature` -- adaptive contour integration on hyperbolic paths
 * :mod:`eichler.cocycles`   -- Eichler cocycles, period functions, L-values
-* :mod:`eichler.averages`   -- one-sided averages and parabolic equations
+* :mod:`eichler.averages`   -- one-sided averages and their continuation
 * :mod:`eichler.harmonic`   -- shadows, kernels, polar eigenfunctions, Green's form
 * :mod:`eichler.quantum`    -- quantum modular values at cusps
 * :mod:`eichler.cli`        -- JSON verification harness
@@ -24,12 +24,9 @@ from .algebra import (
     S,
     T,
     from_word,
-    iota_involution,
-    j_factor,
     matrix_to_word,
     multiplier_eval,
     power_branch,
-    proj_map,
     scaling_matrix,
     slash,
     slash_multiplier,
@@ -59,7 +56,7 @@ from .specfun import (
     lerch_b_coeffs,
     pochhammer,
 )
-from .quadrature import INF, ContourSpec, QuadResult, contour_integral, geodesic_param
+from .quadrature import INF, ContourSpec, QuadResult, contour_integral
 from .cocycles import (
     DEFAULT_SAMPLES,
     CocycleSample,
@@ -76,8 +73,6 @@ from .cocycles import (
     newform37_coeffs,
     period_function,
     period_series_coeffs,
-    rational_cocycle_check,
-    rational_cocycle_wt2,
     verify_period_relations,
 )
 from .averages import (
@@ -85,11 +80,9 @@ from .averages import (
     average_asymptotic_coeffs,
     average_continued,
     one_sided_average,
-    solve_parabolic,
 )
 from .harmonic import (
     ARG_CAP,
-    FDStencil,
     PolarIndex,
     bol_operator,
     cauchy_formula,
@@ -101,18 +94,15 @@ from .harmonic import (
     green_form,
     kernel_K,
     kernel_restriction,
-    kernel_shadow,
     laplacian_r,
     polar_eval,
     polar_expansion_partial,
-    polar_restriction,
     polar_shadow,
     q_lift,
     resolvent_Q,
     shadow,
 )
 from .quantum import (
-    base_point_shift,
     eta_defect,
     quantum_value_eta,
     weight0_quantum,

@@ -7,8 +7,8 @@ half-planes use the two different closures of (-pi, pi):
 
 * ``ARG_UPPER``   : arg in (-pi, pi]   -- automorphy factors cz+d for z in H
 * ``ARG_LOWER``   : arg in [-pi, pi)   -- same for z in the lower half-plane
-* ``ARG_CUT_DOWN``: arg in [-pi/2, 3pi/2)  -- powers of z-t and i-t (cut
-  pointing straight down from the base point)
+* ``ARG_CUT_DOWN``: arg in [-pi/2, 3pi/2)  -- powers of z-t (cut pointing
+  straight down from the base point)
 * ``ARG_CUT_UP``  : arg in [-3pi/2, pi/2)  -- powers of z-i (cut pointing up)
 
 Integral matrices are stored exactly; multiplier systems are evaluated by
@@ -317,19 +317,8 @@ def multiplier_eval(ms: MultiplierSystem, g: GroupElement) -> complex:
     return v
 
 
-def j_factor(
-    ms: MultiplierSystem,
-    g: GroupElement,
-    z: complex,
-    halfplane: Literal["upper", "lower"] = "upper",
-) -> complex:
-    """Automorphy factor j(g,z) = v(g) (cz+d)^r with the half-plane's branch."""
-    interval = ARG_UPPER if halfplane == "upper" else ARG_LOWER
-    return multiplier_eval(ms, g) * power_branch(g.cd(z), ms.weight, interval)
-
-
 # ---------------------------------------------------------------------------
-# slash operators and model maps
+# slash operators
 
 
 def _check_halfplane(z: complex, halfplane: str) -> ArgInterval:
@@ -371,28 +360,6 @@ def slash_multiplier(
 ) -> complex:
     """(f|_{v,p} g)(z) = v(g)^{-1} (cz+d)^{-p} f(gz); p need not equal the weight of v."""
     return slash(f, p, g, z, halfplane) / multiplier_eval(ms, g)
-
-
-def proj_map(
-    phi: Evaluator,
-    r: complex,
-    t: complex,
-    direction: Literal["forward", "inverse"] = "forward",
-) -> complex:
-    """Multiply (forward) or divide (inverse) by (i-t)^{2-r}, arg in [-pi/2, 3pi/2)."""
-    if t == 1j:
-        raise PoleError("projective model map is singular at t = i")
-    w = power_branch(1j - t, 2.0 - r, ARG_CUT_DOWN)
-    if direction == "forward":
-        return w * phi(t)
-    if direction == "inverse":
-        return phi(t) / w
-    raise DomainError(f"unknown direction {direction!r}")
-
-
-def iota_involution(f: Evaluator, z: complex) -> complex:
-    """(iota f)(z) = conj(f(conj(z))) -- swaps the half-planes, conjugates the weight."""
-    return (f(z.conjugate())).conjugate()
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,7 @@ both solve Av(t) - lambda^{-1} Av(t+1) = g(t).  Direct summation works in
 the absolute-convergence cells (|lambda|>1 for plus, <1 for minus, or
 |lambda|=1 with Re r<1); outside them the average of g(z) = (z-i)^{r-2} h(z)
 continues through Hurwitz-Lerch zeta values, one per coefficient of h at
-infinity.  solve_parabolic gives the classical explicit solutions of the
-inhomogeneous equation for Fourier data: incomplete-gamma series for the
-cuspidal part, the (z0-t)^{r-1} primitive for the constant part.
+infinity.
 """
 
 from __future__ import annotations
@@ -20,18 +18,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Tuple
 
 import numpy as np
 
-from .algebra import ARG_CUT_DOWN, ARG_CUT_UP, power_branch
-from .cocycles import FormEvaluator
-from .errors import BranchError, DomainError, PoleError, RefusalError
-from .specfun import eta_power_coeffs, hurwitz_lerch, incomplete_gamma, lerch_b_coeffs
+from .algebra import ARG_CUT_UP, power_branch
+from .errors import DomainError, PoleError, RefusalError
+from .specfun import hurwitz_lerch, lerch_b_coeffs
 
 __all__ = [
     "AverageSpec", "average_asymptotic_coeffs", "average_continued",
-    "one_sided_average", "solve_parabolic",
+    "one_sided_average",
 ]
 
 _UNIT_TOL = 1e-12
@@ -336,80 +333,3 @@ def average_asymptotic_coeffs(a0: complex, a1: complex, a2: complex,
     c0 = eps * a1 / (2.0 - r) + a0 * b0_2r
     c1 = eps * a2 / (3.0 - r) + a1 * b0_3r + a0 * b1_2r
     return (cm1, c0, c1)
-
-
-# ---------------------------------------------------------------------------
-# explicit solutions of the parabolic difference equation
-#   lambda^{-1} h(t+1) - h(t) = int_{z0-1}^{z0} (z-t)^{r-2} E(z) dz
-
-FourierData = Union[FormEvaluator, Sequence[Tuple[complex, complex]]]
-
-
-def _fourier_terms(E: FourierData, r: complex, kmax: int) -> Tuple[Tuple[complex, complex], ...]:
-    if isinstance(E, FormEvaluator):
-        if E.source == "eta-power":
-            if abs(E.weight - r) > 1e-12:
-                raise DomainError("eta-power weight disagrees with r")
-            p = eta_power_coeffs(r, kmax).coeffs
-            return tuple((k + r / 12.0, p[k]) for k in range(kmax + 1))
-        if E.source == "constant-one":
-            return ((0j, 1.0 + 0j),)
-        if E.source == "fourier-series":
-            return E.terms
-        raise DomainError("quasi-E2 is not Fourier data at the cusp")
-    return tuple((complex(n), complex(c)) for n, c in E)
-
-
-def solve_parabolic(E: FourierData, r: complex, lam: complex, z0: complex,
-                    t: complex, tol: float = 1e-10, kmax: int = 200) -> complex:
-    """h(t) with lambda^{-1} h(t+1) - h(t) = int_{z0-1}^{z0} (z-t)^{r-2} E(z) dz.
-
-    E(z) = sum c e^{2 pi i n z} with e^{2 pi i n} = lambda throughout.  Terms
-    with Re n > 0 integrate to incomplete-gamma values; an n = 0 constant
-    contributes (1-r)^{-1}(z0-t)^{r-1} (or -log(z0-t) at r = 1) with
-    arg(z0-t) in (-pi/2, 3pi/2).  Terms with Re n < 0 grow toward i*infinity
-    and their branch choice is left open, so they are refused.
-    """
-    r = complex(r)
-    lam = complex(lam)
-    z0 = complex(z0)
-    t = complex(t)
-    if z0.imag <= 0:
-        raise DomainError("base point must lie in the upper half-plane")
-    if z0.real - 1.0 - 1e-12 <= t.real <= z0.real + 1e-12 and t.imag >= z0.imag - 1e-12:
-        raise BranchError("t lies in the cut strip above the base point")
-    terms = _fourier_terms(E, r, kmax)
-    for n, _ in terms:
-        if abs(cmath.exp(2j * math.pi * n) - lam) > 1e-8 * max(1.0, abs(lam)):
-            raise DomainError(f"Fourier order {n} is inconsistent with lambda")
-
-    acc = 0j
-    small = 0
-    phase = cmath.exp(1j * math.pi * (r - 1.0) / 2.0)
-    for n, c in terms:
-        if c == 0:
-            continue
-        if n == 0:
-            if abs(r - 1.0) <= 1e-12:
-                ang = cmath.phase(z0 - t)
-                if ang < -math.pi / 2.0:
-                    ang += 2.0 * math.pi
-                acc += -c * (math.log(abs(z0 - t)) + 1j * ang)
-            else:
-                acc += c * power_branch(z0 - t, r - 1.0, ARG_CUT_DOWN) / (1.0 - r)
-            continue
-        if n.real <= 0:
-            raise RefusalError(
-                f"Fourier order {n} with Re n <= 0: the incomplete-gamma branch "
-                "is not determined; only cuspidal and constant parts are supported")
-        term = c * phase * (2.0 * math.pi * n) ** (1.0 - r) \
-            * cmath.exp(2j * math.pi * n * t) \
-            * incomplete_gamma(r - 1.0, 2j * math.pi * n * (t - z0))
-        acc += term
-        if abs(term) < tol * max(abs(acc), 1e-300):
-            small += 1
-            if small >= 8:
-                break
-        else:
-            small = 0
-    return acc

@@ -34,7 +34,7 @@ from .averages import (AverageSpec, average_asymptotic_coeffs,
                        average_continued, one_sided_average)
 from .cocycles import (DEFAULT_SAMPLES, FormEvaluator, GoldfeldResult, I_integral,
                        L_eta_detailed, eichler_cocycle, goldfeld_lprime, newform37_coeffs,
-                       period_function, verify_period_relations)
+                       period_function, period_series_coeffs, verify_period_relations)
 from .errors import DomainError, EichlerError
 from .harmonic import (PolarIndex, bol_operator, cauchy_formula, e2_star,
                        f_rn, germ_factor, kernel_K, kernel_restriction,
@@ -42,8 +42,7 @@ from .harmonic import (PolarIndex, bol_operator, cauchy_formula, e2_star,
                        polar_shadow, q_lift, resolvent_Q, shadow)
 from .quadrature import ContourSpec
 from .quantum import eta_defect, quantum_value_eta, weight0_quantum
-from .specfun import (binom_complex, hurwitz_lerch, lerch_asymptotic,
-                      lerch_b_coeffs, pochhammer)
+from .specfun import hurwitz_lerch, lerch_asymptotic, lerch_b_coeffs, pochhammer
 
 __all__ = ["CRITERIA", "main", "run"]
 
@@ -439,6 +438,8 @@ def _crit_period_relations(full: bool) -> List[dict]:
         rep = verify_period_relations(r, samples=ts, tol=1e-7)
         for label, val in rep.checks:
             out.append(_check(f"period r={r} {label}", val, 1e-7))
+        out.append(_check(f"eta^{{2r}} invariance r={r}",
+                          FormEvaluator.eta_power(r).invariance_residual(), 1e-12))
     return out
 
 
@@ -461,9 +462,7 @@ def _crit_period_taylor(full: bool) -> List[dict]:
     vals = [period_function(r, t, tol=1e-12) for t in pts]
     V = np.vander(np.array(pts), 6, increasing=True)
     coef, *_ = np.linalg.lstsq(V, np.array(vals), rcond=None)
-    want = [cmath.exp(1j * math.pi * (r - 1) / 2) * 1j ** n
-            * binom_complex(r - 2.0, n) * I_integral(r, r - 1.0 - n)
-            for n in range(2)]
+    want = period_series_coeffs(r, 2)
     return [_check(f"Taylor c_{n}", abs(coef[n] - want[n]) / abs(want[n]), 1e-5)
             for n in range(2)]
 

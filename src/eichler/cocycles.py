@@ -25,7 +25,7 @@ from scipy.special import rgamma as _rgamma
 
 from .algebra import (ARG_CUT_DOWN, GroupElement, MultiplierSystem, S, T,
                       power_branch, slash_multiplier)
-from .errors import DomainError, PoleError, RefusalError
+from .errors import DomainError, RefusalError
 from .quadrature import INF, ContourSpec, contour_integral
 from .specfun import (_pentagonal, binom_complex, eta_power_coeffs, eta_power_eval,
                       incomplete_gamma)
@@ -35,7 +35,7 @@ __all__ = [
     "ResidualReport", "DEFAULT_SAMPLES", "I_integral", "L_eta",
     "L_eta_detailed", "cusp_cocycle", "eichler_cocycle", "goldfeld_lprime",
     "newform37_coeffs", "period_function", "period_series_coeffs",
-    "rational_cocycle_check", "rational_cocycle_wt2", "verify_period_relations",
+    "verify_period_relations",
 ]
 
 # default evaluation points in the lower half-plane, kept well away from
@@ -124,15 +124,13 @@ class FormEvaluator:
             return 2 * math.pi * min(n.real for n, _ in self.terms)
         return 0.0
 
-    def invariance_residual(self, gammas: Sequence[GroupElement] = (T, S),
-                            points: Sequence[complex] = (2j, 0.3 + 1.1j, -0.7 + 0.8j,
-                                                         1.4 + 2.2j, -2.1 + 0.6j)) -> float:
-        """max over points and gammas of |F|_{v,r}gamma - F| / |F|."""
+    def invariance_residual(self) -> float:
+        """max of |F|_{v,r}gamma - F| / |F| over gamma = T, S and five points."""
         if self.source == "quasi-E2":
             raise DomainError("quasi-E2 is deliberately non-invariant")
         worst = 0.0
-        for g in gammas:
-            for z in points:
+        for g in (T, S):
+            for z in (2j, 0.3 + 1.1j, -0.7 + 0.8j, 1.4 + 2.2j, -2.1 + 0.6j):
                 fz = self(z)
                 res = abs(slash_multiplier(self, self.multiplier, self.weight, g, z) - fz)
                 worst = max(worst, res / max(abs(fz), 1e-300))
@@ -373,32 +371,6 @@ def verify_period_relations(r: complex, samples: Sequence[complex] = DEFAULT_SAM
 
 
 # ---------------------------------------------------------------------------
-# the weight-2 rational cocycle (r = 0, F = 1)
-
-
-def rational_cocycle_wt2(gamma: GroupElement, t: complex) -> complex:
-    """The parabolic representative psi~_gamma(t) = -c/(ct+d)."""
-    t = complex(t)
-    if t.imag > 0:
-        raise DomainError("cocycles are evaluated on the closed lower half-plane")
-    den = gamma.cd(t)
-    if den == 0:
-        raise PoleError("ct + d = 0")
-    return -gamma.c / den
-
-
-def rational_cocycle_check(gamma: GroupElement, t: complex, z0: complex = 2j) -> float:
-    """Residual of psi~_gamma = psi^{z0}_{1,gamma} - b|_2(gamma-1), b = 1/(z0-t)."""
-    t = complex(t)
-    z0 = complex(z0)
-    # closed form of the r=0, F=1 cocycle; no quadrature needed
-    psi = 1.0 / (gamma.inv().apply(z0) - t) - 1.0 / (z0 - t)
-    b = lambda w: 1.0 / (z0 - w)
-    cob = gamma.cd(t) ** (-2) * b(gamma.apply(t)) - b(t)
-    return abs(rational_cocycle_wt2(gamma, t) - (psi - cob))
-
-
-# ---------------------------------------------------------------------------
 # Goldfeld's L'(1) integral
 
 
@@ -466,8 +438,7 @@ def _ray_integral(g: Callable[[float], complex], decay: float, tol: float) -> co
     return res.value
 
 
-def goldfeld_lprime(a: Sequence[float], N: int, tol: float = 1e-7,
-                    r_step: float = 1e-3) -> GoldfeldResult:
+def goldfeld_lprime(a: Sequence[float], N: int, tol: float = 1e-7) -> GoldfeldResult:
     """L'_f(1) of a weight-2 level-N newform with L_f(1) = 0.
 
     a is the 1-indexed coefficient list (a[0] = a_1 = 1).  The complete
@@ -506,6 +477,7 @@ def goldfeld_lprime(a: Sequence[float], N: int, tol: float = 1e-7,
         val = _ray_integral(lambda y: f(y) * math.exp(r * (u(y) + math.log(y))), decay, tol)
         return 1j * cmath.exp(1j * math.pi * r / 2.0) * val
 
+    r_step = 1e-3
     slope = (psi_p(r_step) - psi_p(0.0)) / r_step
     return GoldfeldResult(lprime=lprime, slope=slope, l1=l1, u_integral=u_int)
 

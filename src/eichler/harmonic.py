@@ -12,8 +12,8 @@ The kernel K_r(z; tau) generalises the Cauchy kernel 1/(z - tau): paired with
 the resolvent in a Green's form it reproduces function values from contour
 integrals (cauchy_formula), and its expansion in the polar families converges
 geometrically in each of the two regimes separated by |w(z)| = |w(tau)|.
-Derivatives are taken by central finite differences (FDStencil) so that every
-closed form is testable against a derivative-free evaluation.
+Derivatives are taken by central finite differences with step 1e-4 so that
+every closed form is testable against a derivative-free evaluation.
 """
 
 import cmath
@@ -28,7 +28,6 @@ from .quadrature import ContourSpec, contour_integral
 from .specfun import gauss_2f1, kummer_1f1, pochhammer
 
 __all__ = [
-    "FDStencil",
     "PolarIndex",
     "bol_operator",
     "cauchy_formula",
@@ -40,11 +39,9 @@ __all__ = [
     "green_form",
     "kernel_K",
     "kernel_restriction",
-    "kernel_shadow",
     "laplacian_r",
     "polar_eval",
     "polar_expansion_partial",
-    "polar_restriction",
     "polar_shadow",
     "q_lift",
     "resolvent_Q",
@@ -61,89 +58,63 @@ ARG_CAP = 0.95
 # Finite differences
 
 
-@dataclass(frozen=True)
-class FDStencil:
-    """Central finite-difference stencil for d_x, d_y on the upper half-plane."""
-
-    h: float = 1e-4
-    order: int = 2
-
-    def __post_init__(self):
-        if not 1e-5 <= self.h <= 1e-3:
-            raise DomainError("stencil step must lie in [1e-5, 1e-3]")
-        if self.order not in (2, 4):
-            raise DomainError("stencil order must be 2 or 4")
-
-    @property
-    def reach(self) -> float:
-        return self.h * (2.0 if self.order == 4 else 1.0)
+_FD_STEP = 1e-4  # step h of the order-2 central differences
 
 
-def _check_interior(z: complex, stencil: FDStencil) -> None:
-    if z.imag - stencil.reach <= 0:
+def _check_interior(z: complex) -> None:
+    if z.imag - _FD_STEP <= 0:
         raise DomainError("stencil leaves the upper half-plane")
 
 
-def _grad(F: Func, z: complex, stencil: FDStencil) -> Tuple[complex, complex]:
+def _grad(F: Func, z: complex) -> Tuple[complex, complex]:
     # (d_x F, d_y F) by central differences
-    h = stencil.h
-    if stencil.order == 2:
-        fx = (F(z + h) - F(z - h)) / (2.0 * h)
-        fy = (F(z + 1j * h) - F(z - 1j * h)) / (2.0 * h)
-    else:
-        fx = (-F(z + 2 * h) + 8 * F(z + h) - 8 * F(z - h) + F(z - 2 * h)) / (12.0 * h)
-        fy = (-F(z + 2j * h) + 8 * F(z + 1j * h) - 8 * F(z - 1j * h) + F(z - 2j * h)) / (12.0 * h)
+    h = _FD_STEP
+    fx = (F(z + h) - F(z - h)) / (2.0 * h)
+    fy = (F(z + 1j * h) - F(z - 1j * h)) / (2.0 * h)
     return fx, fy
 
 
-def dz_fd(F: Func, z: complex, stencil: FDStencil = FDStencil()) -> complex:
+def dz_fd(F: Func, z: complex) -> complex:
     """d_z F = (d_x - i d_y)/2 by central differences."""
-    _check_interior(z, stencil)
-    fx, fy = _grad(F, z, stencil)
+    _check_interior(z)
+    fx, fy = _grad(F, z)
     return 0.5 * (fx - 1j * fy)
 
 
-def dzbar_fd(F: Func, z: complex, stencil: FDStencil = FDStencil()) -> complex:
+def dzbar_fd(F: Func, z: complex) -> complex:
     """d_zbar F = (d_x + i d_y)/2 by central differences."""
-    _check_interior(z, stencil)
-    fx, fy = _grad(F, z, stencil)
+    _check_interior(z)
+    fx, fy = _grad(F, z)
     return 0.5 * (fx + 1j * fy)
 
 
-def laplacian_r(F: Func, r: complex, z: complex, stencil: FDStencil = FDStencil()) -> complex:
+def laplacian_r(F: Func, r: complex, z: complex) -> complex:
     """Delta_r F = -4y^2 d_z d_zbar F + 2iry d_zbar F at z, by central differences.
 
     4 d_z d_zbar is the Euclidean Laplacian, evaluated with the classical
-    5-point (order 2) or 9-point (order 4) stencil.
+    5-point stencil.
     """
-    _check_interior(z, stencil)
-    h = stencil.h
+    _check_interior(z)
+    h = _FD_STEP
     try:
         f0 = F(z)
-        if stencil.order == 2:
-            lap = (F(z + h) + F(z - h) + F(z + 1j * h) + F(z - 1j * h) - 4.0 * f0) / (h * h)
-        else:
-            lap = (
-                -F(z + 2 * h) + 16 * F(z + h) - 30 * f0 + 16 * F(z - h) - F(z - 2 * h)
-                - F(z + 2j * h) + 16 * F(z + 1j * h) - 30 * f0 + 16 * F(z - 1j * h)
-                - F(z - 2j * h)
-            ) / (12.0 * h * h)
-        dzbar = dzbar_fd(F, z, stencil)
+        lap = (F(z + h) + F(z - h) + F(z + 1j * h) + F(z - 1j * h) - 4.0 * f0) / (h * h)
+        dzbar = dzbar_fd(F, z)
     except OverflowError as exc:
         raise RefusalError(f"Delta_r F at r={complex(r)}, z={z} overflows ({exc})") from exc
     y = z.imag
     return -y * y * lap + 2j * complex(r) * y * dzbar
 
 
-def shadow(F: Func, r: complex, z: complex, stencil: FDStencil = FDStencil()) -> complex:
+def shadow(F: Func, r: complex, z: complex) -> complex:
     """Shadow operator xi_r F = 2i y^{conj r} conj(d_zbar F).
 
     Annihilates holomorphic functions; on r-harmonic functions the output is
     holomorphic, which is how r-harmonicity is detected from the lowering side.
     """
-    _check_interior(z, stencil)
+    _check_interior(z)
     rb = complex(r).conjugate()
-    val = dzbar_fd(F, z, stencil)
+    val = dzbar_fd(F, z)
     return 2j * cmath.exp(rb * math.log(z.imag)) * val.conjugate()
 
 
@@ -275,15 +246,6 @@ def polar_shadow(idx: PolarIndex, kind: str, z: complex) -> complex:
     raise DomainError("kind must be one of P, M, H")
 
 
-def polar_restriction(idx: PolarIndex, t: float) -> complex:
-    """Boundary germ restriction of M on the real line.
-
-    rsp_r M_{r,mu}(t) = ((t-i)/(t+i))^{mu+1}: the limit of M/f_r as z -> t.
-    """
-    t = float(t)
-    return ((t - 1j) / (t + 1j)) ** (idx.mu + 1)
-
-
 # ---------------------------------------------------------------------------
 # Kernel function and resolvent
 
@@ -306,18 +268,6 @@ def kernel_K(r: complex, z: complex, tau: complex) -> complex:
         return 2j / (z - tau) * ((zb - tau) / (zb - z)) ** (complex(r) - 1.0)
     except OverflowError as exc:
         raise RefusalError(f"K_r(z; tau) at r={complex(r)}, z={z} overflows ({exc})") from exc
-
-
-def kernel_shadow(r: complex, z: complex, tau: complex) -> complex:
-    """xi_r K_r(.; tau) at z: (conj(r)-1) ((z - conj(tau))/(2i))^{conj(r)-2}.
-
-    The base (z - conj(tau))/(2i) has positive real part, so the principal
-    branch matches the real-analytic shadow.
-    """
-    _require_upper(z)
-    _require_upper(tau)
-    rb = complex(r).conjugate()
-    return (rb - 1.0) * ((complex(z) - complex(tau).conjugate()) / 2j) ** (rb - 2.0)
 
 
 def kernel_restriction(r: complex, tau: complex, t: float) -> complex:
@@ -349,23 +299,22 @@ def resolvent_Q(r: complex, z1: complex, z2: complex) -> complex:
     return polar_eval(PolarIndex(r, 0), "M", u)
 
 
-def green_form(f1: Func, f2: Func, r: complex, z: complex,
-               stencil: FDStencil = FDStencil()) -> Tuple[complex, complex]:
+def green_form(f1: Func, f2: Func, r: complex, z: complex) -> Tuple[complex, complex]:
     """Coefficients (A, B) of the Green's form [f1, f2]_r = A dz + B dzbar.
 
     A = (d_z f1 + r/(z-zbar) f1) f2 and B = f1 d_zbar f2; the form is closed
     when f1 is r-harmonic and f2 satisfies the companion equation in its
     first slot (as the resolvent does).
     """
-    _check_interior(z, stencil)
+    _check_interior(z)
     z = complex(z)
-    A = (dz_fd(f1, z, stencil) + complex(r) / (z - z.conjugate()) * f1(z)) * f2(z)
-    B = f1(z) * dzbar_fd(f2, z, stencil)
+    A = (dz_fd(f1, z) + complex(r) / (z - z.conjugate()) * f1(z)) * f2(z)
+    B = f1(z) * dzbar_fd(f2, z)
     return A, B
 
 
 def cauchy_formula(F: Func, r: complex, zprime: complex, circle: ContourSpec,
-                   tol: float = 1e-9, stencil: FDStencil = FDStencil()) -> complex:
+                   tol: float = 1e-9) -> complex:
     """Integrate the Green's form [F, Q_r(., z')]_r over a circle.
 
     For r-harmonic F the result is 2 pi i (1-r) F(z') when z' is enclosed and
@@ -382,7 +331,7 @@ def cauchy_formula(F: Func, r: complex, zprime: complex, circle: ContourSpec,
     center = complex(center)
     zprime = complex(zprime)
     _require_upper(zprime)
-    if center.imag - rho <= stencil.reach:
+    if center.imag - rho <= _FD_STEP:
         raise DomainError("circle must stay inside the upper half-plane")
     if abs(abs(zprime - center) - rho) <= 1e-3:
         raise RefusalError("z' too close to the contour")
@@ -390,7 +339,7 @@ def cauchy_formula(F: Func, r: complex, zprime: complex, circle: ContourSpec,
     f2 = lambda u: resolvent_Q(r, u, zprime)
 
     def integrand(u: complex) -> complex:
-        A, B = green_form(F, f2, r, u, stencil)
+        A, B = green_form(F, f2, r, u)
         # on the circle, dzbar = -rho^2/(u-center)^2 dz
         return A - B * rho * rho / (u - center) ** 2
 

@@ -22,7 +22,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
 
-__all__ = ["ContourSpec", "QuadResult", "contour_integral", "geodesic_param"]
+__all__ = ["ContourSpec", "QuadResult", "contour_integral"]
 
 INF = float("inf")
 
@@ -159,12 +159,6 @@ class _GeodesicPath:
         z = complex(c + rho * tanh, rho * sech)
         dz = rho * sech * complex(sech, -tanh) * self.sign
         return z, dz
-
-
-def geodesic_param(z1, z2, u: float) -> Tuple[complex, complex]:
-    """Point and derivative of the unit-speed geodesic from z1 to z2 at u."""
-    path = _GeodesicPath(z1, z2)
-    return path(u)
 
 
 # ---------------------------------------------------------------------------

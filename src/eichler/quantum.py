@@ -25,7 +25,6 @@ from .errors import DomainError, PoleError, RefusalError
 from .quadrature import ContourSpec, contour_integral
 
 __all__ = [
-    "base_point_shift",
     "eta_defect",
     "quantum_value_eta",
     "weight0_quantum",
@@ -82,21 +81,6 @@ def quantum_value_eta(r: complex, a, z0: complex, tol: float = 1e-10,
         return complex(contour_integral(integrand, ray, tol=tol))
     except OverflowError as exc:
         raise RefusalError(f"h_a at r={r}, a={a}: the integrand overflows ({exc})") from exc
-
-
-def base_point_shift(r: complex, a, z0: complex, z1: complex,
-                     tol: float = 1e-10) -> complex:
-    """int_{z0}^{z1} eta^{2r}(z)(z-a)^{r-2} dz: the base-point correction.
-
-    h^{z0}_a - h^{z1}_a equals this interior geodesic integral, which is also
-    the difference of the two homotopic paths z0 -> a and z0 -> z1 -> a.
-    """
-    r = complex(r)
-    a = _as_rational(a)
-    F = FormEvaluator.eta_power(r)
-    av = float(a)
-    f = lambda z: F(z) * power_branch(z - av, r - 2.0, ARG_CUT_DOWN)
-    return complex(contour_integral(f, ContourSpec.geodesic(complex(z0), complex(z1)), tol=tol))
 
 
 def _boundary_j_power(c: int, d: int, x: float, expo: complex) -> complex:

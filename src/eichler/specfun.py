@@ -147,7 +147,11 @@ def eta_power_eval(r: complex, z: complex) -> complex:
     summed through q^15: the omitted terms are proven below 2|q|^22/(1-|q|)
     < 3e-30 for every r, and |P - 1| < 0.05 makes the principal log the
     analytic branch.  The exponent's rounding is amplified ~|2r|-fold, so
-    the relative error is a few |2r| ulps.
+    the relative error is a few |2r| ulps.  Each exponentiated argument
+    carries a rounding error of an ulp of its modulus; where eps times the
+    sum of those moduli exceeds sqrt(eps) the value is refused with
+    RefusalError, unless it underflows to 0 (deep in the cusp, where the
+    decay swamps any error in the phase).
     """
     r = complex(r)
     z = complex(z)
@@ -156,25 +160,35 @@ def eta_power_eval(r: complex, z: complex) -> complex:
     if r == 0:
         return 1.0 + 0j
     fac = 1.0 + 0j
+    mag = 0.0  # sum of the moduli of the exponentiated arguments
     w = z
     try:
         for _ in range(256):
             n = round(w.real)
             if n:
-                fac *= cmath.exp(1j * math.pi * r * n / 6.0)
+                e = 1j * math.pi * r * n / 6.0
+                mag += abs(e)
+                fac *= cmath.exp(e)
                 w -= n
             if w.imag >= 0.5:
                 break
             # eta^{2r}(-1/w') = (-i w')^r eta^{2r}(w') with w' = -1/w
             w = -1.0 / w
-            fac *= cmath.exp(r * cmath.log(-1j * w))
+            e = r * cmath.log(-1j * w)
+            mag += abs(e)
+            fac *= cmath.exp(e)
         else:
             raise DomainError("modular reduction failed to converge")
         p, _ = _pentagonal(cmath.exp(2j * math.pi * w))
         x = 2.0 * r * (1j * math.pi * w / 12.0 + cmath.log(p))
         if not cmath.isfinite(x):
             raise OverflowError("the exponent is not finite")
-        return fac * cmath.exp(x)
+        mag += abs(x)
+        value = fac * cmath.exp(x)
+        if mag > 2.0 ** 26 and value != 0:  # eps * mag > sqrt(eps)
+            raise RefusalError(f"eta^(2r) at r={r}, z={z}: rounding of exponents "
+                               f"of modulus {mag:.3g} swamps the value")
+        return value
     except OverflowError as exc:
         raise RefusalError(f"eta^(2r) at r={r}, z={z} overflows ({exc})") from exc
 
@@ -404,7 +418,7 @@ class LerchEval:
     a: complex
     z: complex
     value: complex
-    method: str  # direct | shifted | asymptotic
+    method: str  # direct | shifted
 
 
 _BERN = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)  # B_2, B_4, ..., B_10
@@ -500,62 +514,19 @@ def _lerch_scale(s: complex, a: complex, z: complex) -> float:
     return scale
 
 
-def hurwitz_lerch_detailed(s: complex, a: complex, z: complex,
-                           tol: float = 1e-12, method: str = "auto") -> LerchEval:
-    """Hurwitz-Lerch zeta H(s, a, z) with the evaluation method recorded.
-
-    method="direct" forces summation in the region of convergence
-    (RefusalError outside it); method="shifted" forces the continuation
-    path.  The default picks whichever applies.
-    """
-    s = complex(s)
-    a = complex(a)
-    z = complex(z)
-    if method not in ("auto", "direct", "shifted"):
-        raise DomainError("method must be auto, direct or shifted")
-    if a.imag < 0:
-        raise DomainError("H(s, a, z) needs Im a >= 0")
-    if z.imag == 0 and z.real <= 0:
-        raise BranchError("z on the cut (-inf, 0]")
-    a = a - round(a.real)
-    if abs(a) < 1e-14 and abs(s - 1) < 1e-14:
-        raise PoleError("H(s, a, z) has a pole at s = 1 for integer a")
+def _lerch_value(s: complex, a: complex, z: complex, tol: float) -> Tuple[complex, str]:
+    # H(s, a, z) for Re a in [-1/2, 1/2], with the method that produced it
     sig = s.real
     q = math.exp(-TWO_PI * a.imag)
-    if q <= 0.9 and method in ("auto", "direct"):
-        return LerchEval(s, a, z, _lerch_geometric(s, a, z, q, tol), "direct")
-    if sig >= 2.5 and method == "auto":
+    if q <= 0.9:
+        return _lerch_geometric(s, a, z, q, tol), "direct"
+    if sig >= 2.5:
         # plain sum viable when the order-zero truncation cost stays modest
         scale = _lerch_scale(s, a, z)
         N = (tol * scale * (sig - 1)) ** (1.0 / (1.0 - sig))
         if N < 60000:
             N = int(N) + int(abs(z)) + 10
-            return LerchEval(s, a, z, _lerch_plain(s, a, z, N), "direct")
-    if method == "direct":
-        if sig <= 1.0:
-            raise RefusalError("direct summation diverges for Re s <= 1 with |lambda| = 1")
-        # oscillation makes boundary derivatives decay only like N^{-sig}:
-        # after the B_2..B_6 corrections the remainder is ~ |B_8/8!| |f^(7)(N)|
-        scale = _lerch_scale(s, a, z)
-        target = max(tol, 1e-10) * scale
-
-        def _rem(n: float) -> float:
-            return 2.0 * abs(_BERN[3]) / _FACT[8] * (TWO_PI * abs(a) + abs(s) / n) ** 7 * n**-sig
-
-        N = 64
-        while N < 3_000_000 and _rem(N) > target:
-            N *= 2
-        if _rem(N) > target:
-            raise RefusalError("direct summation too slow here")
-        N += int(abs(z)) + 10
-        w = z + N
-        phase = cmath.exp(2j * math.pi * a * N)
-        derivs = _lerch_derivs(s, a, w, 5)
-        val = (_lerch_head(s, a, z, N) + _lerch_tail_integral(s, a, w) * phase
-               + 0.5 * phase * _lerch_pow(w, s))
-        for j in range(1, 4):
-            val -= _BERN[j - 1] / _FACT[2 * j] * derivs[2 * j - 1] * phase
-        return LerchEval(s, a, z, val, "direct")
+            return _lerch_plain(s, a, z, N), "direct"
     if sig <= -4.0:
         raise RefusalError(f"continuation of H(s, a, z) is not accurate for "
                            f"Re s <= -4 (s={s})")
@@ -576,7 +547,7 @@ def hurwitz_lerch_detailed(s: complex, a: complex, z: complex,
         value8 = base + em
         est = 3.0 * abs(_BERN[4] / _FACT[10] * derivs[9])
         if est < tol * max(abs(value8), 1e-300):
-            return LerchEval(s, a, z, value8, "shifted")
+            return value8, "shifted"
     # Abel-Plana with a short shift: keeps head/tail cancellation mild,
     # which matters once Re s < 0
     M = 0
@@ -586,7 +557,37 @@ def hurwitz_lerch_detailed(s: complex, a: complex, z: complex,
     phaseM = cmath.exp(2j * math.pi * a * M)
     base = (_lerch_head(s, a, z, M) + _lerch_tail_integral(s, a, w) * phaseM
             + 0.5 * phaseM * _lerch_pow(w, s))
-    return LerchEval(s, a, z, base + _abel_plana(s, a, z, M), "shifted")
+    return base + _abel_plana(s, a, z, M), "shifted"
+
+
+def hurwitz_lerch_detailed(s: complex, a: complex, z: complex,
+                           tol: float = 1e-12) -> LerchEval:
+    """Hurwitz-Lerch zeta H(s, a, z) with the evaluation method recorded.
+
+    "direct": the defining series, summed term by term when e^{-2 pi Im a}
+    <= 0.9, else for Re s >= 2.5 as a head plus tail integral when fewer
+    than 6e4 terms suffice.  "shifted": the continuation, an order-8
+    Euler-Maclaurin sum after a shift (Re s >= 0.3) or the Abel-Plana
+    formula.  A value that overflows or is not finite is refused with
+    RefusalError.
+    """
+    s = complex(s)
+    a = complex(a)
+    z = complex(z)
+    if a.imag < 0:
+        raise DomainError("H(s, a, z) needs Im a >= 0")
+    if z.imag == 0 and z.real <= 0:
+        raise BranchError("z on the cut (-inf, 0]")
+    frac = a - round(a.real)
+    if abs(frac) < 1e-14 and abs(s - 1) < 1e-14:
+        raise PoleError("H(s, a, z) has a pole at s = 1 for integer a")
+    try:
+        value, method = _lerch_value(s, frac, z, tol)
+    except OverflowError as exc:
+        raise RefusalError(f"H(s, a, z) at s={s}, a={a}, z={z} overflows ({exc})") from exc
+    if not cmath.isfinite(value):
+        raise RefusalError(f"H(s, a, z) at s={s}, a={a}, z={z} is not finite")
+    return LerchEval(s, frac, z, value, method)
 
 
 def hurwitz_lerch(s: complex, a: complex, z: complex, tol: float = 1e-12) -> complex:

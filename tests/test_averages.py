@@ -1,5 +1,5 @@
-"""Tests for eichler.averages: one-sided averages, continuation, asymptotics,
-and the parabolic difference equation."""
+"""Tests for eichler.averages: one-sided averages, continuation and
+asymptotics."""
 
 import cmath
 import math
@@ -8,15 +8,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from eichler.algebra import (ARG_CUT_DOWN, ARG_CUT_UP, ARG_UPPER,
-                             power_branch)
+from eichler.algebra import ARG_CUT_UP, ARG_UPPER, power_branch
 from eichler.averages import (AverageSpec, average_asymptotic_coeffs,
-                              average_continued, one_sided_average,
-                              solve_parabolic)
-from eichler.cocycles import FormEvaluator
-from eichler.errors import (BranchError, DomainError, PoleError,
-                            RefusalError)
-from eichler.quadrature import ContourSpec, contour_integral
+                              average_continued, one_sided_average)
+from eichler.errors import DomainError, PoleError, RefusalError
 from eichler.specfun import hurwitz_lerch
 
 LAM7 = cmath.exp(2j * math.pi / 7)
@@ -384,83 +379,3 @@ class TestAsymptoticCoeffs:
         for k in range(2):
             assert abs(plus[k] - minus[k]) / scale <= 1e-3
             assert abs(plus[k] - want[k]) / scale <= 1e-3
-
-
-# ---------------------------------------------------------------------------
-# explicit solutions of the parabolic equation
-
-
-Z0 = 2.0j
-
-
-def rhs_quadrature(E, r, t, tol=1e-12):
-    f = lambda z: power_branch(z - t, r - 2.0, ARG_CUT_DOWN) * E(z)
-    return contour_integral(f, ContourSpec.polyline(Z0 - 1.0, Z0), tol=tol).value
-
-
-class TestSolveParabolic:
-    def test_constant_weight_three(self):
-        E = FormEvaluator.constant_one()
-        t = -1.5 - 0.5j
-        h = solve_parabolic(E, 3.0, 1.0, Z0, t)
-        assert abs(h - (-(Z0 - t) ** 2 / 2.0)) <= 1e-12
-        res = (solve_parabolic(E, 3.0, 1.0, Z0, t + 1) - h
-               - rhs_quadrature(E, 3.0, t))
-        assert abs(res) <= 1e-10
-
-    def test_constant_weight_one_log(self):
-        E = FormEvaluator.constant_one()
-        t = -1.5 - 0.5j
-        h = solve_parabolic(E, 1.0, 1.0, Z0, t)
-        assert abs(h - (-cmath.log(Z0 - t))) <= 1e-12
-        res = (solve_parabolic(E, 1.0, 1.0, Z0, t + 1) - h
-               - rhs_quadrature(E, 1.0, t))
-        assert abs(res) <= 1e-10
-        # right of the strip the log argument crosses the principal cut and
-        # must be lifted into arg(z0 - t) in [-pi/2, 3pi/2)
-        t2 = 3.0 + 2.5j
-        w = Z0 - t2
-        ang = cmath.phase(w)
-        if ang < -math.pi / 2:
-            ang += 2.0 * math.pi
-        got = solve_parabolic(E, 1.0, 1.0, Z0, t2)
-        assert abs(got - (-(math.log(abs(w)) + 1j * ang))) <= 1e-12
-
-    def test_eta_power_series_vs_quadrature(self):
-        r = 2.5
-        lam = cmath.exp(1j * math.pi * r / 6.0)
-        E = FormEvaluator.eta_power(r)
-        t = 1.3 - 0.7j
-        h = solve_parabolic(E, r, lam, Z0, t)
-        f = lambda z: power_branch(z - t, r - 2.0, ARG_CUT_DOWN) * E(z)
-        ray = ContourSpec.vertical_ray(Z0, decay=E.decay_rate)
-        h0 = contour_integral(f, ray, tol=1e-12).value
-        assert abs(h - h0) / abs(h0) <= 1e-6
-        res = (solve_parabolic(E, r, lam, Z0, t + 1) / lam - h
-               - rhs_quadrature(E, r, t))
-        assert abs(res) <= 1e-7
-
-    def test_fourier_pair_input(self):
-        # two cuspidal terms sharing lam = e^{2 pi i 0.5} = -1
-        terms = [(0.5 + 0j, 1.0 + 0j), (1.5 + 0j, 0.25j)]
-        E = lambda z: sum(c * cmath.exp(2j * math.pi * n * z) for n, c in terms)
-        r, t = 2.2, 1.3 - 0.7j
-        h = solve_parabolic(terms, r, -1.0, Z0, t)
-        f = lambda z: power_branch(z - t, r - 2.0, ARG_CUT_DOWN) * E(z)
-        ray = ContourSpec.vertical_ray(Z0, decay=2.0 * math.pi * 0.5)
-        h0 = contour_integral(f, ray, tol=1e-12).value
-        assert abs(h - h0) / abs(h0) <= 1e-8
-
-    def test_cut_strip_rejected(self):
-        E = FormEvaluator.constant_one()
-        with pytest.raises(BranchError):
-            solve_parabolic(E, 3.0, 1.0, Z0, -0.5 + 3.0j)
-
-    def test_negative_frequency_refused(self):
-        with pytest.raises(RefusalError):
-            solve_parabolic([(-1.0 + 0j, 1.0 + 0j)], 2.5, 1.0, Z0, 1.3 - 0.7j)
-
-    def test_lambda_mismatch(self):
-        E = FormEvaluator.eta_power(2.5)
-        with pytest.raises(DomainError):
-            solve_parabolic(E, 2.5, 2.0, Z0, 1.3 - 0.7j)

@@ -16,7 +16,6 @@ from eichler.cocycles import (DEFAULT_SAMPLES, FormEvaluator, I_integral,
                               L_eta, L_eta_detailed, cusp_cocycle,
                               eichler_cocycle, goldfeld_lprime, newform37_coeffs,
                               period_function, period_series_coeffs,
-                              rational_cocycle_check, rational_cocycle_wt2,
                               verify_period_relations)
 from eichler.errors import DomainError, RefusalError
 from eichler.quadrature import INF, ContourSpec, contour_integral
@@ -405,28 +404,6 @@ class TestPeriodSeriesCoeffs:
     def test_needs_positive_weight(self):
         with pytest.raises(DomainError):
             period_series_coeffs(-1.0, 2)
-
-
-# ---------------------------------------------------------------------------
-# weight-0 rational cocycle
-
-
-class TestRationalCocycle:
-    def test_parabolic_vanishes_on_t(self):
-        assert rational_cocycle_wt2(T, -2j) == 0
-
-    def test_period_is_minus_one_over_t(self):
-        for t in (-2j, -0.7 - 0.4j, 3 - 0.5j):
-            assert abs(rational_cocycle_wt2(S, t) - (-1.0 / t)) <= 1e-15
-
-    def test_coboundary_identity(self):
-        for g in (S, T, T @ S, S @ T, T @ S @ T):
-            for t in DEFAULT_SAMPLES[:5]:
-                assert rational_cocycle_check(g, t) <= 1e-12
-
-    def test_lower_half_plane_only(self):
-        with pytest.raises(DomainError):
-            rational_cocycle_wt2(S, 1j)
 
 
 # ---------------------------------------------------------------------------

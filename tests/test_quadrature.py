@@ -8,8 +8,7 @@ import pytest
 
 from eichler.algebra import ARG_CUT_DOWN, power_branch
 from eichler.errors import DomainError
-from eichler.quadrature import (INF, ContourSpec, contour_integral,
-                                geodesic_param)
+from eichler.quadrature import INF, ContourSpec, _GeodesicPath, contour_integral
 
 RNG_SEED = 20260814
 
@@ -55,12 +54,12 @@ def test_vertical_ray_exponential():
 
 
 def test_geodesic_param_examples():
-    z, dz = geodesic_param(1j, INF, 1.0)
+    z, dz = _GeodesicPath(1j, INF)(1.0)
     assert abs(z - 1j * math.e) <= 1e-14
     assert abs(dz - 1j * math.e) <= 1e-14
-    z, _ = geodesic_param(0.0, INF, 0.0)
+    z, _ = _GeodesicPath(0.0, INF)(0.0)
     assert abs(z - 1j) <= 1e-14
-    z, _ = geodesic_param(-1.0, 1.0, 0.0)
+    z, _ = _GeodesicPath(-1.0, 1.0)(0.0)
     assert abs(z - 1j) <= 1e-14
 
 
@@ -68,10 +67,11 @@ def test_geodesic_param_examples():
                                    (2.0, 0.25 + 1.5j)])
 def test_geodesic_unit_speed(z1, z2):
     h = 1e-6
+    path = _GeodesicPath(z1, z2)
     for u in (-0.8, 0.0, 0.7, 1.4):
-        z, dz = geodesic_param(z1, z2, u)
+        z, dz = path(u)
         assert abs(abs(dz) / z.imag - 1.0) <= 1e-12
-        fd = (geodesic_param(z1, z2, u + h)[0] - geodesic_param(z1, z2, u - h)[0]) / (2 * h)
+        fd = (path(u + h)[0] - path(u - h)[0]) / (2 * h)
         assert abs(fd - dz) <= 1e-7 * abs(dz)
 
 
@@ -79,16 +79,16 @@ def test_geodesic_anchor_and_distance():
     # u = 0 sits at the first interior endpoint; the second is reached at
     # u = hyperbolic distance
     z1, z2 = 0.3 + 0.7j, 2.1 + 0.4j
-    z, _ = geodesic_param(z1, z2, 0.0)
+    z, _ = _GeodesicPath(z1, z2)(0.0)
     assert abs(z - z1) <= 1e-13
     d = math.acosh(1.0 + abs(z1 - z2) ** 2 / (2.0 * z1.imag * z2.imag))
-    z, _ = geodesic_param(z1, z2, d)
+    z, _ = _GeodesicPath(z1, z2)(d)
     assert abs(z - z2) <= 1e-11
 
 
 def test_degenerate_geodesic():
     with pytest.raises(DomainError):
-        geodesic_param(1j, 1j, 0.0)
+        _GeodesicPath(1j, 1j)
 
 
 def test_cusp_without_decay_hint():

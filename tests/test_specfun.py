@@ -187,6 +187,18 @@ def test_eta_eval_refuses_overflow():
             eta_power_eval(r, 0.1 + 2j)
 
 
+def test_eta_eval_refuses_when_rounding_swamps_the_phase():
+    # exponents of modulus ~1e300 (the weight) or ~1e9 (a translation by
+    # 1e9 at r = 2.5) carry rounding errors far above sqrt(eps) in the
+    # phase; unrefused, (1e300 i, 3i) gives a unit-modulus number 1.01
+    # relative off mpmath
+    for r, z in ((1e300j, 3j), (2.5, 1e9 + 1j)):
+        with pytest.raises(RefusalError):
+            eta_power_eval(r, z)
+    # far up the cusp the value underflows to 0, whatever its phase
+    assert eta_power_eval(0.05, 1.28e19j) == 0
+
+
 def test_eta_eval_rejects_lower_half_plane():
     with pytest.raises(DomainError):
         eta_power_eval(3.0, 1.0 - 0.5j)
@@ -362,13 +374,6 @@ def test_lerch_reduces_to_hurwitz_zeta():
     assert abs(hurwitz_lerch(3.0, 0.0, 1.0) - oracle) < 1e-9
 
 
-def test_lerch_continuation_equals_direct_sum():
-    d = hurwitz_lerch_detailed(2.5, 0.3, 1.7, method="direct")
-    c = hurwitz_lerch_detailed(2.5, 0.3, 1.7, method="shifted")
-    assert d.method == "direct" and c.method == "shifted"
-    assert abs(d.value - c.value) <= 1e-9
-
-
 def test_lerch_shift_identity_m7():
     s, a, z, m = 1.3, 0.2, 2.5, 7
     head = sum(cmath.exp(2j * math.pi * a * n) * (z + n) ** -s for n in range(m))
@@ -378,15 +383,6 @@ def test_lerch_shift_identity_m7():
     s, a, z = 2.2, 0.0, 0.7
     rhs = sum((z + n) ** -s for n in range(m)) + hurwitz_lerch(s, a, z + m)
     assert rel_err(hurwitz_lerch(s, a, z), rhs) < 5e-13
-
-
-def test_lerch_methods_agree_for_re_s_above_one():
-    for s in (1.4, 2.2, 3 + 0.4j):
-        for a in (0.0, 0.3, 0.1 + 0.2j):
-            for z in (1.7, 6 + 2j):
-                d = hurwitz_lerch_detailed(s, a, z, method="direct").value
-                c = hurwitz_lerch_detailed(s, a, z, method="shifted").value
-                assert abs(d - c) <= 1e-9 * max(1.0, abs(d))
 
 
 def test_lerch_pole_and_domain_errors():
@@ -400,24 +396,54 @@ def test_lerch_pole_and_domain_errors():
         hurwitz_lerch(2.0, 0.0, -3.0)
 
 
+# Im a where q = e^{-2 pi Im a} = 0.9: the geometric sum above, the
+# continuation (or the plain sum) below
+_Q_SEAM = math.log(1 / 0.9) / (2 * math.pi)
+
+# rows either side of the points where hurwitz_lerch switches branches:
+# q = 0.9, and Re s = 0.3 between shifted Euler-Maclaurin and Abel-Plana;
+# the last row takes the plain head-plus-integral sum
+LERCH_SEAM_ROWS = [
+    (s, complex(re_a, _Q_SEAM + d), z)
+    for d in (-1e-9, 1e-9)
+    for s, re_a, z in ((2.5, 0.3, 1.7), (0.7, 0.25, 1.7), (1.6 + 0.4j, 0.0, 2.5 + 3j),
+                       (-0.5, 0.45, 6.0))
+] + [
+    (complex(0.3 + d, im_s), a, z)
+    for d in (-1e-9, 1e-9)
+    for im_s, a, z in ((0.0, 0.3, 1.7), (2.0, 0.0, 2.5 + 3j), (-1.0, 0.25, 0.6))
+] + [(6.0, 0.3, 1.7)]
+
+
+def lerch_mp(s, a, z):
+    lam = mp.e ** (2j * mp.pi * mp.mpc(a))
+    return complex(mp.lerchphi(lam, mp.mpc(s), mp.mpc(z)))
+
+
 def test_lerch_against_mpmath_grid():
-    for s in (2.5, 0.7, 1.6 + 0.4j, -0.5):
-        for a in (0.0, 0.25, 0.3 + 0.04j, 0.2j):
-            for z in (1.7, 40.5, 0.3, 2.5 + 3j, -3.6 + 0.2j):
-                if abs(complex(a)) < 1e-14 and abs(complex(s) - 1) < 1e-14:
-                    continue
-                lam = mp.e ** (2j * mp.pi * mp.mpc(a))
-                want = complex(mp.lerchphi(lam, mp.mpc(s), mp.mpc(z)))
-                assert rel_err(hurwitz_lerch(s, a, z), want) < 1e-9
+    cells = [(s, a, z) for s in (2.5, 0.7, 1.6 + 0.4j, -0.5)
+             for a in (0.0, 0.25, 0.3 + 0.04j, 0.2j)
+             for z in (1.7, 40.5, 0.3, 2.5 + 3j, -3.6 + 0.2j)]
+    # Re s > 1, where the defining series converges on the unit circle
+    cells += [(s, a, z) for s in (1.4, 2.2, 3 + 0.4j) for a in (0.0, 0.3, 0.1 + 0.2j)
+              for z in (1.7, 6 + 2j)]
+    for s, a, z in cells:
+        assert rel_err(hurwitz_lerch(s, a, z), lerch_mp(s, a, z)) < 1e-9
+    for s, a, z in LERCH_SEAM_ROWS:
+        assert rel_err(hurwitz_lerch(s, a, z), lerch_mp(s, a, z)) < 1e-12, (s, a, z)
+
+
+def test_lerch_records_its_branch():
+    assert hurwitz_lerch_detailed(6.0, 0.3, 1.7).method == "direct"
+    assert hurwitz_lerch_detailed(0.7, 0.25j, 1.7).method == "direct"
+    assert hurwitz_lerch_detailed(0.7, 0.25, 1.7).method == "shifted"
 
 
 def test_lerch_negative_s_envelope():
     # the continuation stays usable down to Re s > -4, at reduced accuracy
     for s in (-2.5, -3.9):
         for a, z in ((0.45, 1.7), (0.25j, 40.5), (0.0, 6.0)):
-            lam = mp.e ** (2j * mp.pi * mp.mpc(a))
-            want = complex(mp.lerchphi(lam, mp.mpc(s), mp.mpc(z)))
-            assert rel_err(hurwitz_lerch(s, a, z), want) < 1e-7
+            assert rel_err(hurwitz_lerch(s, a, z), lerch_mp(s, a, z)) < 1e-7
 
 
 @pytest.mark.parametrize("s", [-4.0, -10.0, -20.0])
