@@ -374,6 +374,18 @@ def test_lerch_reduces_to_hurwitz_zeta():
     assert abs(hurwitz_lerch(3.0, 0.0, 1.0) - oracle) < 1e-9
 
 
+def test_lerch_continuation_equals_direct_sum():
+    # Re s > 1 with a off the integers: the auto path takes the continuation,
+    # checked against the defining series, whose tail oscillates, so 4e5
+    # terms leave ~1e-13
+    s, a, z = 2.5, 0.3, 1.7
+    c = hurwitz_lerch_detailed(s, a, z)
+    assert c.method == "shifted"
+    n = np.arange(0, 400_000)
+    direct = complex(np.sum(np.exp(2j * math.pi * a * n) * (z + n) ** (-s)))
+    assert abs(c.value - direct) <= 1e-9
+
+
 def test_lerch_shift_identity_m7():
     s, a, z, m = 1.3, 0.2, 2.5, 7
     head = sum(cmath.exp(2j * math.pi * a * n) * (z + n) ** -s for n in range(m))
@@ -404,15 +416,15 @@ _Q_SEAM = math.log(1 / 0.9) / (2 * math.pi)
 # q = 0.9, and Re s = 0.3 between shifted Euler-Maclaurin and Abel-Plana;
 # the last row takes the plain head-plus-integral sum
 LERCH_SEAM_ROWS = [
-    (s, complex(re_a, _Q_SEAM + d), z)
+    pytest.param(s, complex(re_a, _Q_SEAM + d), z, id=f"q-seam{d:+g}-s={s}-z={z}")
     for d in (-1e-9, 1e-9)
     for s, re_a, z in ((2.5, 0.3, 1.7), (0.7, 0.25, 1.7), (1.6 + 0.4j, 0.0, 2.5 + 3j),
                        (-0.5, 0.45, 6.0))
 ] + [
-    (complex(0.3 + d, im_s), a, z)
+    pytest.param(complex(0.3 + d, im_s), a, z, id=f"re-s-seam{d:+g}-im_s={im_s}-z={z}")
     for d in (-1e-9, 1e-9)
     for im_s, a, z in ((0.0, 0.3, 1.7), (2.0, 0.0, 2.5 + 3j), (-1.0, 0.25, 0.6))
-] + [(6.0, 0.3, 1.7)]
+] + [pytest.param(6.0, 0.3, 1.7, id="plain-sum-s=6")]
 
 
 def lerch_mp(s, a, z):
@@ -421,16 +433,24 @@ def lerch_mp(s, a, z):
 
 
 def test_lerch_against_mpmath_grid():
-    cells = [(s, a, z) for s in (2.5, 0.7, 1.6 + 0.4j, -0.5)
-             for a in (0.0, 0.25, 0.3 + 0.04j, 0.2j)
-             for z in (1.7, 40.5, 0.3, 2.5 + 3j, -3.6 + 0.2j)]
-    # Re s > 1, where the defining series converges on the unit circle
-    cells += [(s, a, z) for s in (1.4, 2.2, 3 + 0.4j) for a in (0.0, 0.3, 0.1 + 0.2j)
-              for z in (1.7, 6 + 2j)]
-    for s, a, z in cells:
-        assert rel_err(hurwitz_lerch(s, a, z), lerch_mp(s, a, z)) < 1e-9
-    for s, a, z in LERCH_SEAM_ROWS:
-        assert rel_err(hurwitz_lerch(s, a, z), lerch_mp(s, a, z)) < 1e-12, (s, a, z)
+    for s in (2.5, 0.7, 1.6 + 0.4j, -0.5):
+        for a in (0.0, 0.25, 0.3 + 0.04j, 0.2j):
+            for z in (1.7, 40.5, 0.3, 2.5 + 3j, -3.6 + 0.2j):
+                assert rel_err(hurwitz_lerch(s, a, z), lerch_mp(s, a, z)) < 1e-9
+
+
+def test_lerch_methods_agree_for_re_s_above_one():
+    # Re s > 1, where the defining series converges on the unit circle:
+    # the library's branches against mpmath's lerchphi
+    for s in (1.4, 2.2, 3 + 0.4j):
+        for a in (0.0, 0.3, 0.1 + 0.2j):
+            for z in (1.7, 6 + 2j):
+                assert rel_err(hurwitz_lerch(s, a, z), lerch_mp(s, a, z)) < 1e-9
+
+
+@pytest.mark.parametrize("s,a,z", LERCH_SEAM_ROWS)
+def test_lerch_seam_rows_against_mpmath(s, a, z):
+    assert rel_err(hurwitz_lerch(s, a, z), lerch_mp(s, a, z)) < 1e-12
 
 
 def test_lerch_records_its_branch():
