@@ -91,7 +91,6 @@ from .harmonic import (
     e2_star,
     f_rn,
     germ_factor,
-    green_form,
     kernel_K,
     kernel_restriction,
     laplacian_r,

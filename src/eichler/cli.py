@@ -7,12 +7,14 @@ shape
      residuals: [...], tolerance, pass}
 
 and exits 0 iff all residual checks passed, 2 on bad flags, 3 on a numerical
-refusal (with a machine-readable reason on stdout), 1 when checks ran but
-failed.  Floats are printed with 17 significant digits in a fixed order, so
-identical configurations produce byte-identical output.  `verify-all` runs
-the whole acceptance battery (reduced sample counts with --quick, the default;
-full counts with --full); there each result row carries its own tolerance in
-`inputs` and the top-level residuals are normalized by them, with tolerance 1.
+refusal (with a machine-readable reason on stdout, or the record itself when
+a number in it is not finite; JSON prints such a number as null), 1 when
+checks ran but failed.  Floats are printed with 17 significant digits in a
+fixed order, so identical configurations produce byte-identical output.
+`verify-all` runs the whole acceptance battery (reduced sample counts with
+--quick, the default; full counts with --full); there each result row carries
+its own tolerance in `inputs` and the top-level residuals are normalized by
+them, with tolerance 1.
 """
 
 import argparse
@@ -72,12 +74,21 @@ def _dump(obj, indent: int = 0) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        return _num(obj)
+        return _num(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, int):
         return str(obj)
     if obj is None:
         return "null"
     return json.dumps(obj)
+
+
+def _finite(obj) -> bool:
+    # every float in a record is finite
+    if isinstance(obj, dict):
+        return all(_finite(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return all(_finite(v) for v in obj)
+    return not isinstance(obj, float) or math.isfinite(obj)
 
 
 def _cpx(z: complex) -> List[float]:
@@ -788,6 +799,9 @@ def run(argv: Optional[Sequence[str]] = None) -> Tuple[int, str]:
         err = {"command": args.command,
                "error": {"type": type(exc).__name__, "reason": str(exc)}}
         return 3, _dump(err)
+    if not _finite(rec):
+        # a value that could not be computed is a refusal
+        return 3, _emit(rec, args.format)
     return (0 if rec["pass"] else 1), _emit(rec, args.format)
 
 

@@ -12,8 +12,10 @@ The kernel K_r(z; tau) generalises the Cauchy kernel 1/(z - tau): paired with
 the resolvent in a Green's form it reproduces function values from contour
 integrals (cauchy_formula), and its expansion in the polar families converges
 geometrically in each of the two regimes separated by |w(z)| = |w(tau)|.
-Derivatives are taken by central finite differences with step 1e-4 so that
-every closed form is testable against a derivative-free evaluation.
+The resolvent's d_zbar in that form is closed-form, from the same 2F1 series
+as its value.  Derivatives of caller-supplied functions are taken by central
+finite differences with step 1e-4, so that every closed form is testable
+against a derivative-free evaluation.
 """
 
 import cmath
@@ -36,7 +38,6 @@ __all__ = [
     "e2_star",
     "f_rn",
     "germ_factor",
-    "green_form",
     "kernel_K",
     "kernel_restriction",
     "laplacian_r",
@@ -299,27 +300,47 @@ def resolvent_Q(r: complex, z1: complex, z2: complex) -> complex:
     return polar_eval(PolarIndex(r, 0), "M", u)
 
 
-def green_form(f1: Func, f2: Func, r: complex, z: complex) -> Tuple[complex, complex]:
-    """Coefficients (A, B) of the Green's form [f1, f2]_r = A dz + B dzbar.
+def _m0_and_slope(r: complex, x: float) -> Tuple[complex, complex]:
+    # H = 2F1(1, b; b+1; x), b = 1-r, and dH/dx from the same series: since
+    # c = b+1, H = b sum x^n/(b+n) and x H' = b (1/(1-x) - H) (DLMF 15.5).
+    # H' carries H's rounding times |b|/x, which grows as x -> 0
+    H = _m_hyp(0, r, x)
+    return H, (1.0 - r) * (1.0 / (1.0 - x) - H) / x
 
-    A = (d_z f1 + r/(z-zbar) f1) f2 and B = f1 d_zbar f2; the form is closed
-    when f1 is r-harmonic and f2 satisfies the companion equation in its
-    first slot (as the resolvent does).
-    """
-    _check_interior(z)
-    z = complex(z)
-    A = (dz_fd(f1, z) + complex(r) / (z - z.conjugate()) * f1(z)) * f2(z)
-    B = f1(z) * dzbar_fd(f2, z)
-    return A, B
+
+def _resolvent_dzbar(r: complex, z1: complex, z2: complex) -> Tuple[complex, complex]:
+    # Q_r(z1, z2) and d_{zbar1} Q_r(z1, z2) in closed form.  With
+    # u = (z2 - Re z1)/Im z1, Q = M_{r,0}(u) = C(u) H(x), C = _core(r, u),
+    # x = 1 - |w|^2; the product rule in u and ubar, then the chain rule
+    u = (z2 - z1.real) / z1.imag
+    w = (u - 1j) / (u + 1j)
+    x = 1.0 - abs(w) ** 2
+    if x > ARG_CAP:
+        raise RefusalError("point too close to i for the M series")
+    C = _core(r, u)
+    H, dH = _m0_and_slope(r, x)
+    ub = u.conjugate()
+    C_u = C * (-1.0 / (u + 1j) + (r - 1.0) / (ub - u))
+    C_ub = C * (r - 1.0) * (1.0 / (ub - 1j) - 1.0 / (ub - u))
+    x_u = -2j / (u + 1j) ** 2 * (ub + 1j) / (ub - 1j)
+    x_ub = w * 2j / (ub - 1j) ** 2
+    M_u = C_u * H + C * dH * x_u
+    M_ub = C_ub * H + C * dH * x_ub
+    # du/dzbar1 = -(1 + iu)/(2 Im z1), and likewise for ubar
+    dzbar = -(M_u * (1.0 + 1j * u) + M_ub * (1.0 + 1j * ub)) / (2.0 * z1.imag)
+    return C * H, dzbar
 
 
 def cauchy_formula(F: Func, r: complex, zprime: complex, circle: ContourSpec,
                    tol: float = 1e-9) -> complex:
     """Integrate the Green's form [F, Q_r(., z')]_r over a circle.
 
-    For r-harmonic F the result is 2 pi i (1-r) F(z') when z' is enclosed and
-    0 when z' lies outside.  Integer r >= 1 is excluded (the resolvent
-    degenerates), and z' too close to the contour is refused.
+    The form is A dz + B dzbar with A = (d_z F + r/(z-zbar) F) Q and
+    B = F d_zbar Q; it is closed when F is r-harmonic, because Q satisfies
+    the companion equation in its first slot.  For r-harmonic F the result
+    is 2 pi i (1-r) F(z') when z' is enclosed and 0 when z' lies outside.
+    Integer r >= 1 is excluded (the resolvent degenerates), and z' too close
+    to the contour is refused.
     """
     if circle.kind != "circle":
         raise DomainError("cauchy_formula integrates over circles only")
@@ -336,12 +357,12 @@ def cauchy_formula(F: Func, r: complex, zprime: complex, circle: ContourSpec,
     if abs(abs(zprime - center) - rho) <= 1e-3:
         raise RefusalError("z' too close to the contour")
 
-    f2 = lambda u: resolvent_Q(r, u, zprime)
-
     def integrand(u: complex) -> complex:
-        A, B = green_form(F, f2, r, u)
+        Q, dQ = _resolvent_dzbar(r, u, zprime)
+        f = F(u)
+        A = (dz_fd(F, u) + r / (u - u.conjugate()) * f) * Q
         # on the circle, dzbar = -rho^2/(u-center)^2 dz
-        return A - B * rho * rho / (u - center) ** 2
+        return A - f * dQ * rho * rho / (u - center) ** 2
 
     return complex(contour_integral(integrand, circle, tol=tol))
 

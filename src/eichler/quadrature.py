@@ -20,7 +20,7 @@ from typing import Callable, Optional, Tuple
 
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError
+from .errors import DomainError, RefusalError
 
 __all__ = ["ContourSpec", "QuadResult", "contour_integral"]
 
@@ -166,6 +166,23 @@ class _GeodesicPath:
 
 _GL_N, _GL_W = leggauss(15)
 _MAX_DEPTH = 26
+# Gauss panels one contour_integral call may evaluate before it is refused;
+# _MAX_DEPTH alone lets a non-converging integrand bisect for minutes
+_MAX_PANELS = 5000
+
+
+class _Panels:
+    # counts one call's Gauss panels and refuses past _MAX_PANELS
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.used = 0
+
+    def gl15(self, F: Callable[[float], complex], a: float, b: float) -> complex:
+        self.used += 1
+        if self.used > _MAX_PANELS:
+            raise RefusalError(f"{self.kind} integral refused after {_MAX_PANELS} "
+                               "Gauss panels without converging")
+        return _gl15(F, a, b)
 
 
 def _gl15(F: Callable[[float], complex], a: float, b: float) -> complex:
@@ -177,18 +194,19 @@ def _gl15(F: Callable[[float], complex], a: float, b: float) -> complex:
     return tot * half
 
 
-def _adapt(F, a: float, b: float, whole: complex, target: float, depth: int):
-    # whole is the panel's _gl15 sum, already computed by the caller
+def _adapt(F, a: float, b: float, whole: complex, target: float, depth: int,
+           panels: _Panels):
+    # whole is the panel's Gauss sum, already computed by the caller
     m = 0.5 * (a + b)
-    left, right = _gl15(F, a, m), _gl15(F, m, b)
+    left, right = panels.gl15(F, a, m), panels.gl15(F, m, b)
     fine = left + right
     err = abs(whole - fine)
     if err <= target or (b - a) < 1e-13 * max(1.0, abs(a), abs(b)):
         return fine, err, True
     if depth >= _MAX_DEPTH:
         return fine, err, False
-    v1, e1, ok1 = _adapt(F, a, m, left, 0.5 * target, depth + 1)
-    v2, e2, ok2 = _adapt(F, m, b, right, 0.5 * target, depth + 1)
+    v1, e1, ok1 = _adapt(F, a, m, left, 0.5 * target, depth + 1, panels)
+    v2, e2, ok2 = _adapt(F, m, b, right, 0.5 * target, depth + 1, panels)
     return v1 + v2, e1 + e2, ok1 and ok2
 
 
@@ -270,7 +288,8 @@ def contour_integral(f: Callable[[complex], complex], path: ContourSpec,
     Cusp ends need the path's exponential decay hint; without one the
     integral is refused as (potentially) divergent.  The returned error is
     an absolute estimate from panel disagreements plus truncated tails;
-    converged reports whether it met tol.
+    converged reports whether it met tol.  A call that needs more than
+    5000 Gauss panels is refused with RefusalError.
     """
     segs = _segments(path)
     has_cusp_end = any(ol or orr for _, _, _, ol, orr in segs)
@@ -306,14 +325,15 @@ def contour_integral(f: Callable[[complex], complex], path: ContourSpec,
     err = 0.0
     absacc = 0.0
     ok = True
+    panels = _Panels(path.kind)
     for F, a, b, _, tail in pieces:
         # initial panels no longer than 3 in the parameter
         n = max(1, int(math.ceil((b - a) / 3.0)))
         for j in range(n):
             pa = a + (b - a) * j / n
             pb = a + (b - a) * (j + 1) / n
-            v, e, good = _adapt(F, pa, pb, _gl15(F, pa, pb),
-                                target * (pb - pa) / max(total_len, 1.0), 0)
+            v, e, good = _adapt(F, pa, pb, panels.gl15(F, pa, pb),
+                                target * (pb - pa) / max(total_len, 1.0), 0, panels)
             value += v
             err += e
             absacc += abs(v)

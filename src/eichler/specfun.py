@@ -433,7 +433,9 @@ def _lerch_head(s: complex, a: complex, z: complex, M: int) -> complex:
     if M <= 0:
         return 0j
     n = np.arange(M)
-    return complex(np.sum(np.exp(2j * math.pi * a * n - s * np.log(z + n))))
+    # an overflowing term comes back non-finite, which the caller refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(np.sum(np.exp(2j * math.pi * a * n - s * np.log(z + n))))
 
 
 def _lerch_tail_integral(s: complex, a: complex, w: complex) -> complex:

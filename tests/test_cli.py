@@ -2,10 +2,12 @@
 verification battery."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -112,6 +114,31 @@ class TestExitCodes:
         err = json.loads(text)["error"]
         assert err["type"] == "RefusalError"
         assert named in err["reason"]
+
+    @pytest.mark.parametrize("argv,codes", [
+        (["period", "--r", "1,300"], (3,)),
+        (["cauchy", "--r", "0.7,300"], (1, 3)),
+    ])
+    def test_panel_budget_ends_fast(self, argv, codes):
+        # a non-converging integrand is refused by the panel budget instead
+        # of bisecting for minutes; cauchy's integrals may end first with a
+        # value that its residual check fails
+        start = time.perf_counter()
+        code, text = run(argv)
+        assert time.perf_counter() - start < 10.0
+        assert code in codes
+        json.loads(text)
+
+    def test_non_finite_result_is_3(self, monkeypatch):
+        real = eichler.cli.cmd_lerch
+        def nan_value(args):
+            rec = real(args)
+            rec["results"][0]["value"] = [math.nan, math.inf]
+            return rec
+        monkeypatch.setattr(eichler.cli, "cmd_lerch", nan_value)
+        code, text = run(["lerch", "--s", "2.5", "--a", "0.3", "--z", "1.7"])
+        assert code == 3
+        assert json.loads(text)["results"][0]["value"] == [None, None]
 
     def test_inadmissible_average_cell_is_3(self):
         code, text = run(["average", "--lam", "0.9", "--sign", "plus",

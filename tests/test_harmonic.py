@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,8 +16,8 @@ from eichler.harmonic import (PolarIndex, bol_operator, cauchy_formula, dz_fd,
                               kernel_restriction, laplacian_r, polar_eval,
                               polar_expansion_partial, polar_shadow, q_lift,
                               resolvent_Q, shadow)
-from eichler.quadrature import ContourSpec
-from eichler.specfun import pochhammer
+from eichler.quadrature import ContourSpec, contour_integral
+from eichler.specfun import gauss_2f1, pochhammer
 
 RNG_SEED = 20260814
 
@@ -333,11 +334,79 @@ class TestResolvent:
             resolvent_Q(2.0, Z_GEN, -0.2 + 2.1j)
 
 
+def _q_mp(r, x1, y1, z2):
+    # Q_r(x1 + i y1, z2) = M_{r,0}(u) from mpmath's 2F1
+    u = (mp.mpc(z2) - x1) / y1
+    ub = mp.conj(u)
+    x = 1 - abs((u - 1j) / (u + 1j)) ** 2
+    core = 2j / (u + 1j) * ((ub - 1j) / (ub - u)) ** (r - 1)
+    return core * mp.hyp2f1(1, 1 - r, 2 - r, x)
+
+
+class TestResolventDzbar:
+    """d_zbar1 Q_r in closed form, from the one series that gives Q_r."""
+
+    RS = (0.7 + 0.3j, 0.4 + 0.2j, -1.5, 0.5)
+
+    @pytest.mark.parametrize("r", RS)
+    def test_against_mpmath_derivative(self, r):
+        rng = np.random.default_rng(RNG_SEED)
+        seen = 0
+        with mp.workdps(40):
+            while seen < 6:
+                z1 = complex(rng.uniform(-1, 1), rng.uniform(0.3, 2))
+                z2 = complex(rng.uniform(-1, 1), rng.uniform(0.3, 2))
+                u = (z2 - z1.real) / z1.imag
+                if not 0.04 <= 1 - abs((u - 1j) / (u + 1j)) ** 2 <= 0.95:
+                    continue
+                seen += 1
+                x1, y1, rr = mp.mpf(z1.real), mp.mpf(z1.imag), mp.mpc(r)
+                fx = mp.diff(lambda t: _q_mp(rr, t, y1, z2), x1)
+                fy = mp.diff(lambda t: _q_mp(rr, x1, t, z2), y1)
+                want = complex((fx + 1j * fy) / 2)
+                Q, got = harmonic._resolvent_dzbar(complex(r), z1, z2)
+                assert Q == resolvent_Q(r, z1, z2)
+                assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("r", RS)
+    def test_slope_against_mpmath(self, r):
+        # H' = (ab/c) 2F1(a+1, b+1; c+1; x) (DLMF 15.5.1); the relation's
+        # rounding grows like eps/x, so the gate is 1e-12 down to x = 1e-3
+        # and 1e-15/x below it (1e-9 at x = 1e-6)
+        b = 1 - mp.mpc(r)
+        for x in (1e-6, 1e-5, 1e-4, 3e-4, 1e-3, 1e-2, 0.04, 0.3, 0.7, 0.864, 0.95):
+            H, dH = harmonic._m0_and_slope(complex(r), x)
+            with mp.workdps(30):
+                want = complex(b / (b + 1) * mp.hyp2f1(2, b + 1, b + 2, x))
+                assert abs(H - complex(mp.hyp2f1(1, b, b + 1, x))) <= 1e-12 * abs(H)
+            assert abs(dH - want) <= max(1e-12, 1e-15 / x) * abs(want), x
+
+
 class TestCauchyFormula:
     R = 0.7
     CIRCLE = ContourSpec.circle(1j, 0.65)
     # hyperbolic center of the contour: equal clearance to every circle point
     ZP = 1j * math.sqrt(1 - 0.65 ** 2)
+
+    def test_closed_form_residuals(self):
+        # criterion 9's setup: with the resolvent's d_zbar in closed form
+        # both sides meet 1e-10
+        F = lambda u: u * u + 1
+        want = 2j * math.pi * (1 - self.R) * F(self.ZP)
+        inside = cauchy_formula(F, self.R, self.ZP, self.CIRCLE, tol=1e-10)
+        outside = cauchy_formula(F, self.R, 3j, self.CIRCLE, tol=1e-10)
+        assert abs(inside - want) <= 1e-10 * abs(want)
+        assert abs(outside) <= 1e-10 * abs(want)
+
+    def test_one_series_per_node(self, monkeypatch):
+        series, nodes = [], []
+        monkeypatch.setattr(harmonic, "gauss_2f1",
+                            lambda *a: series.append(a) or gauss_2f1(*a))
+        def counted(f, path, tol):
+            return contour_integral(lambda u: nodes.append(u) or f(u), path, tol=tol)
+        monkeypatch.setattr(harmonic, "contour_integral", counted)
+        cauchy_formula(lambda u: u * u + 1, self.R, self.ZP, self.CIRCLE, tol=1e-10)
+        assert nodes and len(series) == len(nodes)
 
     def test_inside(self):
         F = lambda u: u * u + 1
