@@ -51,7 +51,6 @@ from .specfun import (
     hurwitz_lerch_detailed,
     incomplete_gamma,
     kummer_1f1,
-    kummer_1f1_detailed,
     lerch_asymptotic,
     lerch_b_coeffs,
     pochhammer,

@@ -152,10 +152,6 @@ class GroupElement:
             )
         return GroupElement(self.d, -self.b, -self.c, self.a, w)
 
-    def neg(self) -> "GroupElement":
-        w = merge_word(self.word + (("S", 2),)) if self.word is not None else None
-        return GroupElement(-self.a, -self.b, -self.c, -self.d, w)
-
     def cd(self, z: complex) -> complex:
         return self.c * z + self.d
 

@@ -581,6 +581,9 @@ def _crit_kernel(full: bool) -> List[dict]:
     out.append(_check("restriction boundary limit", abs(got - want) / abs(want), 1e-4))
     part = polar_expansion_partial(r, z, tau, terms=40)
     out.append(_check("polar expansion M=40", abs(part - kernel_K(r, z, tau)), 1e-8))
+    # the other regime, |w(z)| < |w(tau)|: the point pair swapped
+    swapped = polar_expansion_partial(r, tau, z, terms=40)
+    out.append(_check("polar expansion swapped M=40", abs(swapped - kernel_K(r, tau, z)), 1e-8))
     p3 = polar_expansion_partial(3.0, z, tau, terms=40)
     out.append(_check("integer-weight identity r=3", abs(p3 - kernel_K(3.0, z, tau)), 1e-10))
     return out

@@ -17,8 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import rgamma as _rgamma
@@ -52,82 +51,36 @@ DEFAULT_SAMPLES: Tuple[complex, ...] = (
 
 @dataclass(frozen=True)
 class FormEvaluator:
-    """Pointwise evaluator for a weight-r form on the upper half-plane.
+    """eta^{2r} as a weight-r form with its modular multiplier system.
 
-    Sources: "eta-power" (eta^{2r} with its modular multiplier system),
-    "constant-one" (weight 0), "fourier-series" (finite q-expansion at the
-    cusp infinity, orders congruent mod 1), and "quasi-E2" (the weight-2
-    Eisenstein series, deliberately non-invariant).
+    eta_power(0) is the constant 1 with the trivial multiplier.
     """
 
     weight: complex
     multiplier: MultiplierSystem
-    source: str
-    terms: Tuple[Tuple[complex, complex], ...] = ()
 
     @staticmethod
     def eta_power(r: complex) -> "FormEvaluator":
         r = complex(r)
-        return FormEvaluator(r, MultiplierSystem.modular(r), "eta-power")
-
-    @staticmethod
-    def constant_one() -> "FormEvaluator":
-        return FormEvaluator(0j, MultiplierSystem(0j, 1.0 + 0j, 1.0 + 0j), "constant-one")
-
-    @staticmethod
-    def fourier_series(r: complex, terms: Sequence[Tuple[complex, complex]],
-                       multiplier: Optional[MultiplierSystem] = None) -> "FormEvaluator":
-        ordered = tuple(sorted(((complex(n), complex(a)) for n, a in terms),
-                               key=lambda na: (na[0].real, na[0].imag)))
-        if not ordered:
-            raise DomainError("fourier-series source needs at least one term")
-        ms = multiplier if multiplier is not None else MultiplierSystem(complex(r), 1.0 + 0j, 1.0 + 0j)
-        return FormEvaluator(complex(r), ms, "fourier-series", ordered)
-
-    @staticmethod
-    def quasi_e2() -> "FormEvaluator":
-        return FormEvaluator(2.0 + 0j, MultiplierSystem(2.0 + 0j, 1.0 + 0j, 1.0 + 0j), "quasi-E2")
-
-    @cached_property
-    def _arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        ns = np.array([n for n, _ in self.terms], dtype=complex)
-        cs = np.array([a for _, a in self.terms], dtype=complex)
-        return ns, cs
+        return FormEvaluator(r, MultiplierSystem.modular(r))
 
     def __call__(self, z: complex) -> complex:
         z = complex(z)
         if z.imag <= 0:
             raise DomainError("forms are evaluated in the upper half-plane")
-        if self.source == "eta-power":
-            return eta_power_eval(self.weight, z)
-        if self.source == "constant-one":
-            return 1.0 + 0j
-        if self.source == "fourier-series":
-            ns, cs = self._arrays
-            return complex(np.sum(cs * np.exp(2j * math.pi * ns * z)))
-        return _e2_eval(z)
+        return eta_power_eval(self.weight, z)
 
     @property
     def is_cuspidal(self) -> bool:
-        if self.source == "eta-power":
-            return self.weight.real > 0
-        if self.source == "fourier-series":
-            return all(n.real > 0 for n, _ in self.terms)
-        return False
+        return self.weight.real > 0
 
     @property
     def decay_rate(self) -> float:
-        """Exponential decay rate of |F| at i*infinity (0 if none)."""
-        if self.source == "eta-power":
-            return 2 * math.pi * self.weight.real / 12.0
-        if self.source == "fourier-series":
-            return 2 * math.pi * min(n.real for n, _ in self.terms)
-        return 0.0
+        """Exponential decay rate of |F| at i*infinity."""
+        return 2 * math.pi * self.weight.real / 12.0
 
     def invariance_residual(self) -> float:
         """max of |F|_{v,r}gamma - F| / |F| over gamma = T, S and five points."""
-        if self.source == "quasi-E2":
-            raise DomainError("quasi-E2 is deliberately non-invariant")
         worst = 0.0
         for g in (T, S):
             for z in (2j, 0.3 + 1.1j, -0.7 + 0.8j, 1.4 + 2.2j, -2.1 + 0.6j):
@@ -213,7 +166,7 @@ def cusp_cocycle(F: FormEvaluator, gamma: GroupElement, t: complex,
                  tol: float = 1e-10) -> CocycleSample:
     """psi^{infinity}_{F,gamma}(t): base point at the cusp, F cuspidal."""
     if not F.is_cuspidal:
-        raise DomainError("cusp cocycle needs a cusp form (all orders with Re n > 0)")
+        raise DomainError("cusp cocycle needs a cusp form (Re r > 0)")
     t = complex(t)
     if t.imag > 0:
         raise DomainError("cocycles are evaluated on the closed lower half-plane")
@@ -252,7 +205,7 @@ def I_integral(r: complex, s: complex, tol: float = 1e-11) -> complex:
         return (y ** s + y ** (r - s)) * eta_power_eval(r, z) / y / 1j
 
     try:
-        res = contour_integral(f, ContourSpec.vertical_ray(1j, decay=math.pi * r.real / 6.0),
+        res = contour_integral(f, ContourSpec.geodesic(1j, INF, decay=math.pi * r.real / 6.0),
                                tol=tol)
     except OverflowError as exc:
         raise RefusalError(f"I(r,s) at r={r}, s={s}: the integrand overflows ({exc})") from exc

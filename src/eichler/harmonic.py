@@ -410,7 +410,7 @@ def f_rn(r: complex, n: complex, z: complex) -> complex:
 
     r-harmonic lift of the exponential: n = 0 gives y^{1-r}, and r = 1
     collapses to e^{2 pi i n z}.  Integer r >= 2 is excluded (the 1F1
-    parameter 2-r degenerates); large |4 pi n y| is refused.
+    parameter 2-r degenerates); |4 pi n y| > 30 is refused by kummer_1f1.
     """
     z = complex(z)
     _require_upper(z)
@@ -418,8 +418,6 @@ def f_rn(r: complex, n: complex, z: complex) -> complex:
     if _integer_weight(r) is not None:
         raise PoleError("F_{r,n} degenerates at integer r >= 2")
     x = 4.0 * math.pi * complex(n) * z.imag
-    if abs(x) > 700.0:
-        raise RefusalError("1F1 argument too large for the direct series")
     y = z.imag
     return cmath.exp(2j * math.pi * complex(n) * z) * cmath.exp((1.0 - r) * math.log(y)) \
         * kummer_1f1(1.0 - r, 2.0 - r, x)
@@ -486,27 +484,18 @@ def polar_expansion_partial(r: complex, z: complex, tau: complex, terms: int = 4
 # Bol's identity
 
 
-def _term_pairs(terms) -> Tuple[Tuple[complex, complex], ...]:
-    if isinstance(terms, FormEvaluator):
-        inner = getattr(terms, "terms", None)
-        if inner is None:
-            raise DomainError("form evaluator does not expose Fourier terms")
-        return tuple((complex(n), complex(c)) for n, c in inner)
-    return tuple((complex(n), complex(c)) for n, c in terms)
-
-
 def bol_operator(terms, r: int, g: GroupElement, z: complex) -> Tuple[complex, complex]:
     """Both sides of Bol's identity d_z^{r-1}(F|_{2-r} g) = (d_z^{r-1} F)|_r g.
 
     F is an entire Fourier series sum c_n e^{2 pi i n z} given as (n, c)
-    pairs or a fourier-series form evaluator.  The left side differentiates
-    (cz+d)^{r-2} e^{2 pi i n gz} exactly via the coefficient recurrence over
-    powers of (cz+d), so the comparison is free of finite-difference error.
+    pairs.  The left side differentiates (cz+d)^{r-2} e^{2 pi i n gz}
+    exactly via the coefficient recurrence over powers of (cz+d), so the
+    comparison is free of finite-difference error.
     """
     n_wt = _integer_weight(r)
     if n_wt is None or abs(complex(r) - n_wt) > 1e-12:
         raise DomainError("Bol's operator needs integer weight r >= 2")
-    pairs = _term_pairs(terms)
+    pairs = [(complex(n), complex(c)) for n, c in terms]
     z = complex(z)
     den = g.cd(z)
     if abs(den) < 1e-13:

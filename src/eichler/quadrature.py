@@ -1,8 +1,8 @@
 """Adaptive contour integration over hyperbolic paths.
 
 Every integral in the package runs through :func:`contour_integral`:
-geodesics between points of the closed upper half plane (cusps included),
-vertical rays to i*infinity, circles, and straight polylines.  Paths are
+geodesics between points of the closed upper half plane (cusps included,
+so a vertical ray is the geodesic to INF) and circles.  Paths are
 parametrized smoothly, cusp ends are truncated using the caller's decay
 hint, and panels are 15-point Gauss-Legendre with bisection on
 disagreement.
@@ -36,9 +36,9 @@ def _is_inf(p) -> bool:
 class ContourSpec:
     """A path in the closed upper half plane.
 
-    kind is one of geodesic | vertical-ray | circle | polyline; endpoints
-    hold kind-specific data (use the constructors).  decay is the
-    exponential-decay-rate hint required when an endpoint is a cusp.
+    kind is geodesic or circle; endpoints hold kind-specific data (use the
+    constructors).  decay is the exponential-decay-rate hint required when
+    an endpoint is a cusp; a vertical ray is geodesic(z, INF, decay).
     """
 
     kind: str
@@ -50,18 +50,9 @@ class ContourSpec:
         return ContourSpec("geodesic", (z1, z2), decay)
 
     @staticmethod
-    def vertical_ray(start: complex, decay: Optional[float] = None) -> "ContourSpec":
-        # from an interior point straight up to i*infinity
-        return ContourSpec("vertical-ray", (start, INF), decay)
-
-    @staticmethod
     def circle(center: complex, radius: float) -> "ContourSpec":
         # full counterclockwise circle
         return ContourSpec("circle", (center, float(radius)))
-
-    @staticmethod
-    def polyline(*points: complex) -> "ContourSpec":
-        return ContourSpec("polyline", tuple(points))
 
 
 @dataclass(frozen=True)
@@ -244,7 +235,8 @@ def _truncate_end(F, u0: float, direction: float, rate: float, thr: float) -> fl
 
 
 def _segments(path: ContourSpec):
-    # reduce every kind to a list of (F, a, b, open_left, open_right)
+    # reduce either kind to (make, a, b, open_left, open_right): make(f) is
+    # the integrand f(z) dz/du on the parameter interval [a, b]
     if path.kind == "circle":
         center, radius = complex(path.endpoints[0]), float(path.endpoints[1])
 
@@ -254,30 +246,17 @@ def _segments(path: ContourSpec):
                 return f(z) * (1j * radius * cmath.exp(1j * th))
             return F
 
-        return [(make, 0.0, 2.0 * math.pi, False, False)]
-    if path.kind == "polyline":
-        pts = [complex(p) for p in path.endpoints]
-        if len(pts) < 2:
-            raise DomainError("polyline needs at least two points")
-        segs = []
-        for p, q in zip(pts, pts[1:]):
-            def make(f, p=p, q=q):
-                def F(t: float) -> complex:
-                    return f(p + t * (q - p)) * (q - p)
-                return F
-            segs.append((make, 0.0, 1.0, False, False))
-        return segs
-    if path.kind in ("geodesic", "vertical-ray"):
-        z1, z2 = path.endpoints
-        geo = _GeodesicPath(z1, z2)
+        return make, 0.0, 2.0 * math.pi, False, False
+    if path.kind == "geodesic":
+        geo = _GeodesicPath(*path.endpoints)
 
-        def make(f, geo=geo):
+        def make(f):
             def F(u: float) -> complex:
                 z, dz = geo(u)
                 return f(z) * dz
             return F
 
-        return [(make, geo.u1, geo.u2, not math.isfinite(geo.u1), not math.isfinite(geo.u2))]
+        return make, geo.u1, geo.u2, not math.isfinite(geo.u1), not math.isfinite(geo.u2)
     raise DomainError(f"unknown path kind: {path.kind}")
 
 
@@ -291,54 +270,48 @@ def contour_integral(f: Callable[[complex], complex], path: ContourSpec,
     converged reports whether it met tol.  A call that needs more than
     5000 Gauss panels is refused with RefusalError.
     """
-    segs = _segments(path)
-    has_cusp_end = any(ol or orr for _, _, _, ol, orr in segs)
-    if has_cusp_end and path.decay is None:
+    make, a, b, open_l, open_r = _segments(path)
+    if (open_l or open_r) and path.decay is None:
         raise DomainError("cusp endpoint without a decay hint")
-    pieces = []
-    for make, a, b, open_l, open_r in segs:
-        F = make(f)
-        # probe a magnitude scale on the finite core of the segment
-        if open_l and open_r:
-            core = (-2.0, 2.0)
-        elif open_l:
-            core = (b - 4.0, b)
-        elif open_r:
-            core = (a, a + 4.0)
-        else:
-            core = (a, b)
-        scale = max(abs(F(core[0] + (core[1] - core[0]) * k / 8.0)) for k in range(9))
-        thr = tol * 1e-2 * max(scale, 1e-300)
-        tail_est = 0.0
-        if open_l:
-            a = _truncate_end(F, core[0], -1.0, path.decay, thr)
-            tail_est += abs(F(a))
-        if open_r:
-            b = _truncate_end(F, core[1], 1.0, path.decay, thr)
-            tail_est += abs(F(b))
-        pieces.append((F, a, b, scale, tail_est))
+    F = make(f)
+    # probe a magnitude scale on the finite core of the path
+    if open_l and open_r:
+        core = (-2.0, 2.0)
+    elif open_l:
+        core = (b - 4.0, b)
+    elif open_r:
+        core = (a, a + 4.0)
+    else:
+        core = (a, b)
+    scale = max(abs(F(core[0] + (core[1] - core[0]) * k / 8.0)) for k in range(9))
+    thr = tol * 1e-2 * max(scale, 1e-300)
+    tail = 0.0
+    if open_l:
+        a = _truncate_end(F, core[0], -1.0, path.decay, thr)
+        tail += abs(F(a))
+    if open_r:
+        b = _truncate_end(F, core[1], 1.0, path.decay, thr)
+        tail += abs(F(b))
     # distribute the tolerance by panel length
-    total_len = sum(b - a for _, a, b, _, _ in pieces)
-    global_scale = max(s for _, _, _, s, _ in pieces)
-    target = tol * max(global_scale, 1e-300) * max(total_len, 1.0)
+    length = max(b - a, 1.0)
+    target = tol * max(scale, 1e-300) * length
     value = 0j
     err = 0.0
     absacc = 0.0
     ok = True
     panels = _Panels(path.kind)
-    for F, a, b, _, tail in pieces:
-        # initial panels no longer than 3 in the parameter
-        n = max(1, int(math.ceil((b - a) / 3.0)))
-        for j in range(n):
-            pa = a + (b - a) * j / n
-            pb = a + (b - a) * (j + 1) / n
-            v, e, good = _adapt(F, pa, pb, panels.gl15(F, pa, pb),
-                                target * (pb - pa) / max(total_len, 1.0), 0, panels)
-            value += v
-            err += e
-            absacc += abs(v)
-            ok = ok and good
-        err += tail
+    # initial panels no longer than 3 in the parameter
+    n = max(1, int(math.ceil((b - a) / 3.0)))
+    for j in range(n):
+        pa = a + (b - a) * j / n
+        pb = a + (b - a) * (j + 1) / n
+        v, e, good = _adapt(F, pa, pb, panels.gl15(F, pa, pb),
+                            target * (pb - pa) / length, 0, panels)
+        value += v
+        err += e
+        absacc += abs(v)
+        ok = ok and good
+    err += tail
     # rounding floor: panel sums cannot be trusted past a few ulps
     err += 5e-16 * absacc
     converged = ok and err <= tol * max(1.0, abs(value))

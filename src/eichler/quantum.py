@@ -22,7 +22,7 @@ from .algebra import (ARG_CUT_DOWN, ARG_LOWER, ARG_UPPER, GroupElement,
                       multiplier_eval, power_branch, scaling_matrix)
 from .cocycles import FormEvaluator, eichler_cocycle
 from .errors import DomainError, PoleError, RefusalError
-from .quadrature import ContourSpec, contour_integral
+from .quadrature import INF, ContourSpec, contour_integral
 
 __all__ = [
     "eta_defect",
@@ -76,7 +76,7 @@ def quantum_value_eta(r: complex, a, z0: complex, tol: float = 1e-10,
         j = v * power_branch(den, r, ARG_UPPER)  # j_{v,r}(sigma, w)
         return j * F(w) * power_branch(zt, r - 2.0, ARG_CUT_DOWN) * dz
 
-    ray = ContourSpec.vertical_ray(w0, decay=F.decay_rate)
+    ray = ContourSpec.geodesic(w0, INF, decay=F.decay_rate)
     try:
         return complex(contour_integral(integrand, ray, tol=tol))
     except OverflowError as exc:

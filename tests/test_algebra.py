@@ -234,7 +234,7 @@ def test_j_minus_identity_invariance():
     for _ in range(10):
         g = random_element(rng)
         z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 3))
-        assert j_factor(ms, g.neg(), z) == pytest.approx(j_factor(ms, g, z), rel=1e-10)
+        assert j_factor(ms, g @ S @ S, z) == pytest.approx(j_factor(ms, g, z), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Tests for eichler.cli: output schema, determinism, exit codes, and the
 verification battery."""
 
+import importlib.util
 import json
 import math
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import time
@@ -270,6 +272,29 @@ def test_parser_lists_all_subcommands():
                  "harmonic-check", "kernel-expand", "cauchy", "quantum",
                  "goldfeld", "verify-all"):
         assert name in text
+
+
+def _reach_invocations():
+    # the reference invocations that tools/reach.py line-traces
+    path = pathlib.Path(__file__).parents[1] / "tools" / "reach.py"
+    spec = importlib.util.spec_from_file_location("reach", path)
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    return reach.INVOCATIONS
+
+
+def test_reach_invocations_cover_every_subcommand():
+    commands = {build_parser().parse_args(shlex.split(line)).command
+                for line in _reach_invocations()}
+    assert commands == {"period", "cocycle-check", "l-value", "lerch", "average",
+                        "harmonic-check", "kernel-expand", "cauchy", "quantum",
+                        "goldfeld", "verify-all"}
+
+
+@pytest.mark.parametrize("line", _reach_invocations())
+def test_reach_invocation_parses(line):
+    # a renamed subcommand or flag would leave the trace list stale
+    assert callable(build_parser().parse_args(shlex.split(line)).handler)
 
 
 def test_import_eichler_leaves_cli_unloaded():

@@ -13,13 +13,13 @@ from scipy.special import exp1, gamma as gamma_fn
 from eichler.algebra import (ARG_CUT_DOWN, IDENTITY, MultiplierSystem, S, T,
                              power_branch, slash_multiplier)
 from eichler.cocycles import (DEFAULT_SAMPLES, FormEvaluator, I_integral,
-                              L_eta, L_eta_detailed, cusp_cocycle,
+                              L_eta, L_eta_detailed, _e2_eval, cusp_cocycle,
                               eichler_cocycle, goldfeld_lprime, newform37_coeffs,
                               period_function, period_series_coeffs,
                               verify_period_relations)
 from eichler.errors import DomainError, RefusalError
 from eichler.quadrature import INF, ContourSpec, contour_integral
-from eichler.specfun import binom_complex, eta_power_coeffs
+from eichler.specfun import binom_complex, eta_power_coeffs, eta_power_eval
 
 RNG_SEED = 20260814
 DATA = pathlib.Path(__file__).parent / "data"
@@ -45,45 +45,48 @@ class TestFormEvaluator:
             assert F.invariance_residual() <= 1e-7
 
     def test_fourier_series_matches_eta24(self):
-        # Delta = eta^24 has integer coefficients tau(n); feeding them back
-        # through the generic Fourier evaluator must reproduce eta_power(12)
+        # Delta = eta^24 has integer coefficients tau(n); their q-series
+        # summed here must reproduce eta_power_eval(12, .)
         tau = eta_power_coeffs(12.0, 40).coeffs
-        terms = [(1.0 + k, tau[k]) for k in range(41)]
-        F = FormEvaluator.fourier_series(12.0, terms,
-                                         multiplier=MultiplierSystem.modular(12.0))
-        G = FormEvaluator.eta_power(12.0)
         for z in (0.3 + 1.1j, -0.4 + 0.9j, 2j):
-            assert abs(F(z) - G(z)) <= 1e-12 * abs(G(z))
+            q = cmath.exp(2j * math.pi * z)
+            series = sum(tau[k] * q ** (1 + k) for k in range(41))
+            want = eta_power_eval(12.0, z)
+            assert abs(series - want) <= 1e-12 * abs(want)
+        F = FormEvaluator.eta_power(12.0)
         assert F.is_cuspidal
         assert F.decay_rate == pytest.approx(2 * math.pi)
 
     def test_fourier_series_invariance(self):
+        # the tau(n) q-series slashed with eta^24's multiplier, as
+        # invariance_residual does for the evaluator
         tau = eta_power_coeffs(12.0, 60).coeffs
-        terms = [(1.0 + k, tau[k]) for k in range(61)]
-        F = FormEvaluator.fourier_series(12.0, terms,
-                                         multiplier=MultiplierSystem.modular(12.0))
-        assert F.invariance_residual() <= 1e-7
+        delta = lambda z: sum(tau[k] * cmath.exp(2j * math.pi * (1 + k) * z) for k in range(61))
+        ms = MultiplierSystem.modular(12.0)
+        worst = 0.0
+        for g in (T, S):
+            for z in (2j, 0.3 + 1.1j, -0.7 + 0.8j, 1.4 + 2.2j, -2.1 + 0.6j):
+                fz = delta(z)
+                worst = max(worst, abs(slash_multiplier(delta, ms, 12.0, g, z) - fz) / abs(fz))
+        assert worst <= 1e-7
 
     def test_constant_one(self):
-        F = FormEvaluator.constant_one()
+        # eta^0 is the constant-one form with the trivial multiplier
+        F = FormEvaluator.eta_power(0)
         assert F(1.7j) == 1.0
         assert F.weight == 0
+        assert F.multiplier == MultiplierSystem(0j, 1.0 + 0j, 1.0 + 0j)
         assert not F.is_cuspidal
         assert F.invariance_residual() <= 1e-12
 
-    def test_quasi_e2_refuses_invariance(self):
-        F = FormEvaluator.quasi_e2()
-        with pytest.raises(DomainError):
-            F.invariance_residual()
-
     def test_e2_special_value(self):
         # E2(i) = 3/pi kills the inversion anomaly at the fixed point of S
-        F = FormEvaluator.quasi_e2()
+        F = _e2_eval
         assert F(1j) == pytest.approx(3.0 / math.pi, rel=1e-12)
 
     def test_e2_quasi_modularity(self):
         # E2(-1/z) = z^2 E2(z) - 6iz/pi
-        F = FormEvaluator.quasi_e2()
+        F = _e2_eval
         for z in (0.3 + 0.8j, -1.2 + 0.4j, 2.5j):
             lhs = F(-1.0 / z)
             rhs = z * z * F(z) - 6j * z / math.pi
@@ -93,7 +96,7 @@ class TestFormEvaluator:
         # oracle: 1 - 24 sum n q^n/(1 - q^n) at the unreduced z, 30 digits;
         # Im z in [0.05, 2] sends most points through the pullback, and
         # Im z = 1/2 puts the reduced point where |q| = e^{-pi}
-        F = FormEvaluator.quasi_e2()
+        F = _e2_eval
         rng = np.random.default_rng(RNG_SEED)
         zs = [complex(rng.uniform(-3, 3), rng.uniform(0.05, 2.0)) for _ in range(40)]
         zs += [x + 0.5j for x in (-2.5, -1.3, -0.5, 0.25, 0.5, 2.5)]
@@ -114,10 +117,6 @@ class TestFormEvaluator:
         with pytest.raises(DomainError):
             FormEvaluator.eta_power(2.5)(-1j)
 
-    def test_empty_fourier_series(self):
-        with pytest.raises(DomainError):
-            FormEvaluator.fourier_series(2.0, [])
-
 
 # ---------------------------------------------------------------------------
 # Eichler cocycle psi^{z0}
@@ -130,7 +129,7 @@ class TestEichlerCocycle:
 
     def test_weight0_closed_form(self):
         # r=0, F=1: psi(t) = 1/(gamma^{-1}z0 - t) - 1/(z0 - t)
-        F = FormEvaluator.constant_one()
+        F = FormEvaluator.eta_power(0)
         z0 = 2j
         for g in (S, T, T @ S):
             a = g.inv().apply(z0)
@@ -208,7 +207,7 @@ class TestCuspCocycle:
 
     def test_needs_cusp_form(self):
         with pytest.raises(DomainError):
-            cusp_cocycle(FormEvaluator.constant_one(), S, -2j)
+            cusp_cocycle(FormEvaluator.eta_power(0), S, -2j)
 
     def test_cocycle_relation_with_cusp_base(self):
         # psi_{ST} = psi_S|T + psi_T = psi_S|T since psi_T = 0

@@ -448,7 +448,7 @@ class TestCauchyFormula:
     def test_circle_contour_required(self):
         with pytest.raises(DomainError):
             cauchy_formula(lambda u: u, self.R, self.ZP,
-                           ContourSpec.polyline(1j, 2j))
+                           ContourSpec.geodesic(1j, 2j))
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +477,13 @@ class TestQLift:
     def test_weight_zero_closed_form(self):
         # F = 1, r = 0: integral of (z-t)^{-2} from z0 to conj(t)
         z0, t = 1j, 0.4 - 0.8j
-        got = q_lift(FormEvaluator.constant_one(), z0, t, tol=1e-12)
+        got = q_lift(FormEvaluator.eta_power(0), z0, t, tol=1e-12)
         want = 1 / (z0 - t) - 1 / (t.conjugate() - t)
         assert abs(got - want) < 1e-12
 
     def test_upper_half_plane_rejected(self):
         with pytest.raises(DomainError):
-            q_lift(FormEvaluator.constant_one(), 1j, 0.4 + 0.8j)
+            q_lift(FormEvaluator.eta_power(0), 1j, 0.4 + 0.8j)
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +541,7 @@ class TestBol:
 
     def test_general_element_and_series(self):
         terms = [(0, 0.5), (1, 1.0), (2, -0.25j)]
-        F = FormEvaluator.fourier_series(3.0, terms)
-        lhs, rhs = bol_operator(F, 3, GroupElement(2, 1, 1, 1), 0.2 + 1.4j)
+        lhs, rhs = bol_operator(terms, 3, GroupElement(2, 1, 1, 1), 0.2 + 1.4j)
         assert abs(lhs - rhs) < 1e-9 * abs(rhs)
 
     def test_weight_two_against_fd(self):

@@ -13,16 +13,11 @@ from eichler.quadrature import INF, ContourSpec, _GeodesicPath, contour_integral
 RNG_SEED = 20260814
 
 
-def test_segment_of_one():
-    res = contour_integral(lambda z: 1.0 + 0j, ContourSpec.polyline(1j, 2j), tol=1e-12)
-    assert abs(res.value - 1j) <= 1e-13
-    assert res.converged
-
-
 def test_geodesic_segment_of_one():
-    # i -> 2i is a vertical geodesic; same answer as the straight segment
+    # i -> 2i is a vertical geodesic, the straight segment
     res = contour_integral(lambda z: 1.0 + 0j, ContourSpec.geodesic(1j, 2j), tol=1e-12)
     assert abs(res.value - 1j) <= 1e-13
+    assert res.converged
 
 
 def test_circle_residue():
@@ -48,7 +43,7 @@ def test_mellin_gamma():
 def test_vertical_ray_exponential():
     # int_{2i}^{i inf} e^{2 pi i z} dz = i e^{-4 pi} / (2 pi)
     res = contour_integral(lambda z: cmath.exp(2j * math.pi * z),
-                           ContourSpec.vertical_ray(2j, decay=2 * math.pi), tol=1e-12)
+                           ContourSpec.geodesic(2j, INF, decay=2 * math.pi), tol=1e-12)
     truth = 1j * math.exp(-4 * math.pi) / (2 * math.pi)
     assert abs(res.value - truth) <= 1e-12 * abs(truth)
 
@@ -100,7 +95,7 @@ def test_cusp_without_decay_hint():
 def test_divergent_integrand_refused():
     with pytest.raises(DomainError):
         contour_integral(lambda z: cmath.exp(0.2 * z.imag),
-                         ContourSpec.vertical_ray(1j, decay=1.0))
+                         ContourSpec.geodesic(1j, INF, decay=1.0))
 
 
 def test_path_independence():
@@ -113,27 +108,34 @@ def test_path_independence():
         return power_branch(z - t, r - 2, ARG_CUT_DOWN)
 
     tol = 1e-10
-    direct = contour_integral(f, ContourSpec.polyline(1j, 2 + 1j), tol=tol)
-    detour = contour_integral(f, ContourSpec.polyline(1j, 0.5 + 2.5j, 1.8 + 3j, 2 + 1j), tol=tol)
+    direct = contour_integral(f, ContourSpec.geodesic(1j, 2 + 1j), tol=tol)
+    hops = (1j, 0.5 + 2.5j, 1.8 + 3j, 2 + 1j)
+    detour = sum(contour_integral(f, ContourSpec.geodesic(p, q), tol=tol).value
+                 for p, q in zip(hops, hops[1:]))
     scale = max(1.0, abs(direct.value))
-    assert abs(direct.value - detour.value) <= 2 * tol * scale
+    assert abs(direct.value - detour) <= 2 * tol * scale
 
 
 def test_concatenation_additivity():
-    a, b, c = 0.2 + 0.9j, 1.1 + 1.7j, 2.4 + 0.6j
+    # b splits the geodesic from a to c at its hyperbolic midpoint
+    a, c = 0.2 + 0.9j, 2.4 + 0.6j
+    d = math.acosh(1.0 + abs(a - c) ** 2 / (2.0 * a.imag * c.imag))
+    b, _ = _GeodesicPath(a, c)(0.5 * d)
 
     def f(z):
         return cmath.exp(0.7j * z) * (z * z + 1.0)
 
-    whole = contour_integral(f, ContourSpec.polyline(a, b, c), tol=1e-12)
-    parts = (contour_integral(f, ContourSpec.polyline(a, b), tol=1e-12).value
-             + contour_integral(f, ContourSpec.polyline(b, c), tol=1e-12).value)
+    whole = contour_integral(f, ContourSpec.geodesic(a, c), tol=1e-12)
+    parts = (contour_integral(f, ContourSpec.geodesic(a, b), tol=1e-12).value
+             + contour_integral(f, ContourSpec.geodesic(b, c), tol=1e-12).value)
     assert abs(whole.value - parts) <= 1e-14 * max(1.0, abs(whole.value))
 
 
 def test_error_estimate_honesty():
     # estimate must dominate the true error (doubled-subdivision oracle)
-    # for at least 95 of 100 random smooth integrands
+    # for at least 95 of 100 random smooth integrands on the straight
+    # segment from a to b, pulled back to the vertical geodesic i -> 2i by
+    # w = a + (b - a)(z/i - 1)
     rng = np.random.default_rng(RNG_SEED)
     wins = 0
     for _ in range(100):
@@ -145,7 +147,10 @@ def test_error_estimate_honesty():
         def f(z):
             return sum(c * z ** k for k, c in enumerate(coeff)) * cmath.exp(alpha * z)
 
-        res = contour_integral(f, ContourSpec.polyline(a, b), tol=1e-10)
+        def pulled(z):
+            return f(a + (b - a) * (z / 1j - 1.0)) * (b - a) / 1j
+
+        res = contour_integral(pulled, ContourSpec.geodesic(1j, 2j), tol=1e-10)
 
         def ref(n):
             nodes = np.linspace(0, 1, n + 1)
@@ -171,5 +176,5 @@ def test_unconverged_flag():
     def f(z):
         return cmath.sqrt(z - b)
 
-    res = contour_integral(f, ContourSpec.polyline(0.5j, 2 + 0.5j), tol=1e-15)
+    res = contour_integral(f, ContourSpec.geodesic(1.0 + 0.25j, 1.0 + 1j), tol=1e-15)
     assert not res.converged

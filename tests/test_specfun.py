@@ -20,7 +20,6 @@ from eichler import (
     hurwitz_lerch_detailed,
     incomplete_gamma,
     kummer_1f1,
-    kummer_1f1_detailed,
     lerch_asymptotic,
     lerch_b_coeffs,
 )
@@ -257,6 +256,32 @@ def test_gamma_against_mpmath_grid():
         assert rel_err(incomplete_gamma(a, u), want) < 1e-12, (a, u)
 
 
+def _series_cap(a):
+    # incomplete_gamma's bound on Re u for the alternating series
+    return max(1.0, 4.5 - 0.35 * max(0.0, -complex(a).real - 1.0))
+
+
+# rows 1e-9 either side of incomplete_gamma's three seams: |u| = 6 (on
+# both sides of the imaginary axis), Re u = series_cap and, in the left
+# half plane, |u| = 35 + 2.2|a| between the arc path and the asymptotic
+# series; a = -3 and 0 take the integer route inside the series disc
+GAMMA_SEAM_ROWS = [
+    pytest.param(a, u, id=f"{name}{d:+g}-a={a}")
+    for d in (-1e-9, 1e-9)
+    for a in (0.5, -2.3 + 0.7j, 2.5 + 0.5j, -3, 0, 4 - 1j, -6.5 + 0.2j)
+    for name, u in (("abs-u-6-right", (6.0 + d) * cmath.exp(1.45j)),
+                    ("abs-u-6-left", (6.0 + d) * cmath.exp(2.2j)),
+                    ("series-cap", complex(_series_cap(a) + d, 2.0)),
+                    ("asymptotic", (35.0 + 2.2 * abs(a) + d) * cmath.exp(2.5j)))
+]
+
+
+@pytest.mark.parametrize("a,u", GAMMA_SEAM_ROWS)
+def test_gamma_seam_rows_against_mpmath(a, u):
+    want = complex(mp.gammainc(mp.mpc(a), mp.mpc(u)))
+    assert rel_err(incomplete_gamma(a, u), want) < 1e-10
+
+
 def test_gamma_rejects_the_cut():
     with pytest.raises(BranchError):
         incomplete_gamma(0.5, -2.0)
@@ -335,20 +360,43 @@ def test_1f1_negative_argument_is_stable():
     assert rel_err(kummer_1f1(1.3, 2.6, -25.0), want) < 1e-11
 
 
-def test_1f1_asymptotic_leading_term():
-    r = 2.5
-    t = 60.0
-    val = kummer_1f1(1 - r, 2 - r, t)
-    lead = (1 - r) * math.exp(t) / t
-    assert abs(val / lead - 1.0) < 0.05
+def test_1f1_against_mpmath_grid():
+    # 300 complex rows with |t| <= 30 and 300 real rows with a in [-40, 6]:
+    # every row is either refused or within 1e-11 of mpmath
+    rng = np.random.default_rng(RNG_SEED)
+    rows = []
+    for _ in range(300):
+        a = complex(rng.uniform(-10, 6), rng.uniform(-3, 3))
+        b = complex(rng.uniform(-5, 6), rng.uniform(-3, 3))
+        t = 30.0 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        rows.append((a, b, t))
+    rows += [(rng.uniform(-40, 6), rng.uniform(0.1, 6), rng.uniform(-30, 30))
+             for _ in range(300)]
+    accepted = 0
+    for a, b, t in rows:
+        try:
+            val = kummer_1f1(a, b, t)
+        except RefusalError:
+            continue
+        accepted += 1
+        assert rel_err(val, complex(mp.hyp1f1(a, b, t))) <= 1e-11, (a, b, t)
+    assert accepted >= 400
 
 
-def test_1f1_asymptotic_against_mpmath():
-    for a, b, t in ((0.7, 1.9, 45.0), (-1.5, -0.5, 52.0), (1 - 2.5, 2 - 2.5, 31.0)):
-        val, est = kummer_1f1_detailed(a, b, t)
-        want = complex(mp.hyp1f1(a, b, t))
-        assert rel_err(val, want) < 1e-8
-        assert rel_err(val, want) < 10.0 * max(est, 1e-12)
+def test_1f1_cancelling_series_refused():
+    # mpmath: -3120.24...; the terms peak near 5e198 and cancel
+    with pytest.raises(RefusalError):
+        kummer_1f1(-2000.5, 1.5, 29.0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_1f1_series_range_seam(sign):
+    # accepted just inside |t| = 30, refused just outside
+    a, b = 0.6, 1.6
+    t = sign * (30.0 - 1e-9)
+    assert rel_err(kummer_1f1(a, b, t), complex(mp.hyp1f1(a, b, t))) <= 1e-12
+    with pytest.raises(RefusalError):
+        kummer_1f1(a, b, sign * (30.0 + 1e-9))
 
 
 def test_1f1_rejects_nonpositive_integer_b():
