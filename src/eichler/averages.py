@@ -69,6 +69,7 @@ _FIRST_BLOCK = 64      # the cells that stop at n = 50 evaluate one block
 _MAX_BLOCK = 8192      # keeps the per-block temporaries near 1 MB
 _HEAD = 50             # no sum stops before n = 50
 _EB_ORDER = 24         # highest difference D^j the Euler-Boole tail uses
+_RICH_ORDER = 6        # most tail terms d_k u^{e-k} the lambda = 1 extrapolation fits
 _EPS = float(np.finfo(float).eps)
 
 
@@ -142,27 +143,77 @@ def _euler_boole_sum(g: Callable, mult: complex, step: float, w: complex,
     raise RefusalError(f"average did not reach tol={tol:g} within {max_terms} terms")
 
 
+def _richardson_sum(g: Callable, step: float, z: complex, e: complex,
+                    tol: float, max_terms: int, floor: float) -> complex:
+    # sum_{n>=0} g_n, g_n = g(z + n step), for g whose tail follows the
+    # exponent ladder e, e-1, ...: with u_N = step z + N - 1/2 (arg u_N -> 0,
+    # so principal powers; g's branch goes into the constants d_k)
+    #   S_N = sum_{n<N} g_n = S - sum_{k<K} d_k u_N^{e-k} + ...
+    # Partial sums at N = 25 2^j, each g_n evaluated once and the head
+    # carried over.  Order K solves the K+1 equations of the window of
+    # partial sums ending at N for S, through the first row of the inverse.
+    # Its error estimate is the distance to the same order on the window
+    # ending at N/2, plus the rounding eps sum|g_n| times the row's l1 norm;
+    # the order K <= _RICH_ORDER with the smallest estimate is taken, and N
+    # doubles until that estimate meets tol.  The ladder starts at the first
+    # N with Re u_N > 0, from where arg u_N stays in (-pi/2, pi/2).
+    sums, logs = [], []    # S_N and log u_N at N = 25 2^j
+    prev = {}              # order -> extrapolant on the window ending at N/2
+    head, mass = 0j, 0.0   # S_N and sum |g_n|
+    lo, N = 0, _HEAD // 2
+    while N <= max_terms:
+        for start in range(lo, N, _MAX_BLOCK):
+            vals = _values(g, z + step * np.arange(start, min(start + _MAX_BLOCK, N)))
+            head += complex(vals.sum())
+            mass += float(np.abs(vals).sum())
+        lo, u = N, step * z + N - 0.5
+        N *= 2
+        if u.real <= 0:
+            continue
+        sums.append(head)
+        logs.append(cmath.log(u))
+        S = np.array(sums)
+        # log(u/u_N): columns rescaled by u_N^{k-e}, which leaves row 0 of A^-1 alone
+        dl = np.array(logs) - logs[-1]
+        cur = {}
+        best, best_err = 0j, math.inf
+        for K in range(1, min(_RICH_ORDER, len(sums) - 1) + 1):
+            A = np.ones((K + 1, K + 1), dtype=complex)
+            A[:, 1:] = np.exp(np.outer(dl[-K - 1:], e - np.arange(K)))
+            row = np.linalg.solve(A.T, np.eye(K + 1, 1)).ravel()
+            cur[K] = complex(row @ S[-K - 1:])
+            if K in prev:
+                err = abs(cur[K] - prev[K]) + _EPS * mass * float(np.abs(row).sum())
+                if err < best_err:
+                    best, best_err = cur[K], err
+        if best_err <= tol * max(abs(best), floor):
+            return best
+        prev = cur
+    raise RefusalError(f"average did not reach tol={tol:g} within {max_terms} terms")
+
+
 def _directed_sum(g: Callable, lam: complex, sign: str,
-                  t: complex, tol: float, max_terms: int,
+                  t: complex, tol: float, max_terms: int, e: complex,
                   scale_hint: float = 0.0) -> complex:
     # plus: sum_{n>=0} lam^{-n} g(t+n); minus: -sum_{m>=1} lam^m g(t-m).
-    # On the unit circle away from lam = 1 the sum is a head plus the
-    # Euler-Boole tail (_euler_boole_sum).  Elsewhere the stopping rule is
-    # geometric extrapolation from the observed term ratio, or integral
-    # comparison at lam = 1; g is evaluated on blocks of shifted points, the
-    # weights, points and partial sums are accumulated sequentially from the
-    # carried state, and the rule is tested at every n, so the sum returns
-    # the same partial sum at the same n as a term-by-term loop.
+    # On the unit circle the sum is a head plus the Euler-Boole tail
+    # (_euler_boole_sum), or at lam = 1 Richardson extrapolation with the
+    # tail exponents e, e-1, ... (_richardson_sum).  Off the unit circle the
+    # stopping rule is geometric extrapolation from the observed term ratio;
+    # g is evaluated on blocks of shifted points, the weights, points and
+    # partial sums are accumulated sequentially from the carried state, and
+    # the rule is tested at every n, so the sum returns the same partial sum
+    # at the same n as a term-by-term loop.
     if sign == "plus":
         mult, step = 1.0 / lam, 1.0
         w, z, out_sign = 1.0 + 0j, complex(t), 1.0
     else:
         mult, step = complex(lam), -1.0
         w, z, out_sign = complex(lam), t - 1.0, -1.0
-    unit = abs(abs(mult) - 1.0) <= _UNIT_TOL
-    at_one = unit and abs(mult - 1.0) <= _UNIT_TOL
     floor = max(scale_hint, 1e-300)
-    if unit and not at_one:
+    if abs(mult - 1.0) <= _UNIT_TOL:
+        return out_sign * w * _richardson_sum(g, step, z, e, tol, max_terms, floor)
+    if abs(abs(mult) - 1.0) <= _UNIT_TOL:
         return out_sign * _euler_boole_sum(g, mult, step, w, z, tol,
                                            max_terms, floor)
 
@@ -197,12 +248,8 @@ def _directed_sum(g: Callable, lam: complex, sign: str,
         m9 = window[:size]  # |term| at n-9
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             rho = (m / m9) ** (1.0 / 9.0)
-            if at_one:
-                p = np.where(rho < 1.0, -n * np.log(rho), 0.0)
-                tail = np.where(p <= 1.05, math.inf, 1.5 * m * n / (p - 1.0))
-            else:
-                q = np.minimum(np.maximum(rho, abs(mult)), 0.999999)
-                tail = m * q / (1.0 - q)
+            q = np.minimum(np.maximum(rho, abs(mult)), 0.999999)
+            tail = m * q / (1.0 - q)
         ratio_ok = (m9 > 0) & (m > 0) & (tail <= tol * scale)
         stop = np.flatnonzero((n >= _HEAD) & ((run >= 8) | ratio_ok))
         if stop.size:
@@ -220,15 +267,19 @@ def one_sided_average(spec: AverageSpec, t: complex, tol: float = 1e-9,
     """Direct summation of the one-sided average in its convergence cell.
 
     spec.g is evaluated on blocks of shifted points t+n (1-D complex
-    ndarrays of up to a few thousand points).  Off the unit circle and at
-    lambda = 1 the sum stops at the same term, and returns the same partial
-    sum, as a term-by-term sum with the same stopping rule would.  On the
-    unit circle away from lambda = 1 it is a direct head of N >= 50 terms
-    plus the Euler-Boole expansion of the rest, N doubling until the
-    estimated truncation and rounding error meets tol; there a g whose
-    modulus does not fall like a power of |t+n| is never given its Abel
-    sum: only the head alone is accepted, once the next values of g are
-    negligible.  RefusalError if tol is not reached within max_terms
+    ndarrays of up to a few thousand points).  Off the unit circle the sum
+    stops at the same term, and returns the same partial sum, as a
+    term-by-term sum with the same stopping rule would.  On the unit circle
+    away from lambda = 1 it is a direct head of N >= 50 terms plus the
+    Euler-Boole expansion of the rest, N doubling until the estimated
+    truncation and rounding error meets tol; there a g whose modulus does
+    not fall like a power of |t+n| is never given its Abel sum: only the
+    head alone is accepted, once the next values of g are negligible.  At
+    lambda = 1 the partial sums at N = 25, 50, 100, ... are extrapolated
+    (Richardson, with the tail exponents r-1, r-2, ... of spec.r) until an
+    extrapolant agrees with the same order one doubling earlier to within
+    tol; a g whose tail does not follow those exponents is refused or still
+    meets tol.  RefusalError if tol is not reached within max_terms
     evaluations of g.
     """
     if not spec.admissible:
@@ -237,7 +288,7 @@ def one_sided_average(spec: AverageSpec, t: complex, tol: float = 1e-9,
             f"(sign={spec.sign}, |lambda|={abs(complex(spec.lam)):.6g}, "
             f"Re r={complex(spec.r).real:.6g}); use average_continued")
     return _directed_sum(spec.g, complex(spec.lam), spec.sign, complex(t),
-                         tol, max_terms)
+                         tol, max_terms, complex(spec.r) - 1.0)
 
 
 def _coeffs_at_infinity(h: Callable[[np.ndarray], np.ndarray], radius: float,
@@ -260,8 +311,9 @@ def average_continued(h: Callable[[np.ndarray], np.ndarray], r: complex, lam: co
     samples, then blocks of shifted points); a scalar result is broadcast.
     The first N coefficients of h are pushed through H(k+2-r, ...) values;
     the remainder decays like |z|^{Re r-2-N} and is summed directly, as in
-    one_sided_average: term by term with its stopping rule at lambda = 1,
-    by a head plus the Euler-Boole tail elsewhere on the unit circle.
+    one_sided_average: by Richardson extrapolation with the tail exponents
+    r-1-N, r-2-N, ... at lambda = 1, by a head plus the Euler-Boole tail
+    elsewhere on the unit circle.
     Re r >= 6 is refused: H(2-r, ...) would need hurwitz_lerch's
     continuation at Re s <= -4, outside its accuracy envelope.
     """
@@ -303,7 +355,7 @@ def average_continued(h: Callable[[np.ndarray], np.ndarray], r: complex, lam: co
             p *= wk
         return power_branch(z - 1j, r - 2.0, ARG_CUT_UP) * (h(z) - poly)
 
-    return head + _directed_sum(g_rem, lam, sign, t, tol, max_terms,
+    return head + _directed_sum(g_rem, lam, sign, t, tol, max_terms, r - 1.0 - N,
                                 scale_hint=max(abs(head), 1e-30))
 
 

@@ -340,7 +340,8 @@ def cauchy_formula(F: Func, r: complex, zprime: complex, circle: ContourSpec,
     the companion equation in its first slot.  For r-harmonic F the result
     is 2 pi i (1-r) F(z') when z' is enclosed and 0 when z' lies outside.
     Integer r >= 1 is excluded (the resolvent degenerates), and z' too close
-    to the contour is refused.
+    to the contour is refused, as is an unconverged integral whose error
+    estimate exceeds max(1, |value|): it has no significant digit.
     """
     if circle.kind != "circle":
         raise DomainError("cauchy_formula integrates over circles only")
@@ -364,7 +365,11 @@ def cauchy_formula(F: Func, r: complex, zprime: complex, circle: ContourSpec,
         # on the circle, dzbar = -rho^2/(u-center)^2 dz
         return A - f * dQ * rho * rho / (u - center) ** 2
 
-    return complex(contour_integral(integrand, circle, tol=tol))
+    res = contour_integral(integrand, circle, tol=tol)
+    if not res.converged and res.error > max(1.0, abs(res.value)):
+        raise RefusalError(f"circle integral has no significant digit (value "
+                           f"{abs(res.value):.3g}, error estimate {res.error:.3g})")
+    return res.value
 
 
 # ---------------------------------------------------------------------------

@@ -444,21 +444,21 @@ _AP_N, _AP_W = leggauss(48)
 
 
 def _abel_plana(s: complex, a: complex, z: complex, M: int) -> complex:
-    # i int_0^inf [f(M+iy) - f(M-iy)] / (e^{2 pi y} - 1) dy
+    # i int_0^inf [f(M+iy) - f(M-iy)] / (e^{2 pi y} - 1) dy, 48 Gauss nodes
+    # on each of 9 panels (edges 0 and a geometric ladder 0.02 .. Y)
     alpha = abs(a.real)
     decay = TWO_PI * (1.0 - alpha) - 1e-9
     Y = 42.0 / decay
     edges = np.concatenate(([0.0], np.geomspace(0.02, Y, 9)))
-    total = 0j
-    for j in range(len(edges) - 1):
-        mid = 0.5 * (edges[j] + edges[j + 1])
-        half = 0.5 * (edges[j + 1] - edges[j])
-        for x, wgt in zip(_AP_N, _AP_W):
-            y = mid + half * x
-            fp = cmath.exp(2j * math.pi * a * (M + 1j * y) - s * cmath.log(z + M + 1j * y))
-            fm = cmath.exp(2j * math.pi * a * (M - 1j * y) - s * cmath.log(z + M - 1j * y))
-            total += wgt * half * (fp - fm) / math.expm1(TWO_PI * y)
-    return 1j * total
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    y = (mid[:, None] + half[:, None] * _AP_N).ravel()
+    wgt = (half[:, None] * _AP_W).ravel() / np.expm1(TWO_PI * y)
+    u = M + np.concatenate((1j * y, -1j * y))
+    # an overflowing f comes back non-finite, which the caller refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.exp(2j * math.pi * a * u - s * np.log(z + u))
+    return 1j * complex(wgt @ (f[:y.size] - f[y.size:]))
 
 
 def _lerch_geometric(s: complex, a: complex, z: complex, q: float, tol: float) -> complex:

@@ -8,9 +8,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from eichler import averages
 from eichler.algebra import ARG_CUT_UP, ARG_UPPER, power_branch
 from eichler.averages import (AverageSpec, average_asymptotic_coeffs,
                               average_continued, one_sided_average)
+from eichler.cli import CRITERIA
 from eichler.errors import DomainError, PoleError, RefusalError
 from eichler.specfun import hurwitz_lerch
 
@@ -36,13 +38,12 @@ def slashed_g(h, r):
 
 
 def term_by_term(g, lam, sign, t, tol):
-    # the stopping rule of one_sided_average off the unit circle and at
-    # lam = 1, one scalar term at a time: returns (number of terms summed, sum)
+    # the stopping rule of one_sided_average off the unit circle, one scalar
+    # term at a time: returns (number of terms summed, sum)
     if sign == "plus":
         mult, step, w, z, out_sign = 1.0 / lam, 1.0, 1.0 + 0j, t, 1.0
     else:
         mult, step, w, z, out_sign = lam, -1.0, lam, t - 1.0, -1.0
-    at_one = abs(mult - 1.0) <= 1e-12
     acc, window, flat_run = 0j, [], 0
     for n in range(10 ** 6):
         term = w * complex(g(z))
@@ -56,12 +57,8 @@ def term_by_term(g, lam, sign, t, tol):
                 return n + 1, out_sign * acc
             if len(window) == 10 and window[0] > 0 and m > 0:
                 rho = (m / window[0]) ** (1.0 / 9.0)
-                if at_one:
-                    p = -n * math.log(rho) if rho < 1.0 else 0.0
-                    tail = math.inf if p <= 1.05 else 1.5 * m * n / (p - 1.0)
-                else:
-                    q = min(max(rho, abs(mult)), 0.999999)
-                    tail = m * q / (1.0 - q)
+                q = min(max(rho, abs(mult)), 0.999999)
+                tail = m * q / (1.0 - q)
                 if tail <= tol * scale:
                     return n + 1, out_sign * acc
         w *= mult
@@ -78,8 +75,6 @@ def cut_g(r, cut):
 # (lam, sign, r, g, tolerances): stops spread over the first block seams
 # (n = 64, 192, 448, 960), through each branch of the stopping rule
 SEAM_CASES = [
-    (1.0 + 0j, "plus", -1.0, power_g(-1.0), np.geomspace(1e-3, 1e-6, 60)),
-    (1.0 + 0j, "minus", -1.0, power_g(-1.0), np.geomspace(1e-3, 1e-6, 60)),
     (1.02 + 0j, "plus", 4.0, power_g(4.0), np.geomspace(1e-2, 1e-9, 60)),
     (0.98 + 0j, "minus", 4.0, power_g(4.0), np.geomspace(1e-2, 1e-9, 60)),
 ] + [(1.05 + 0j, "plus", 0.7, cut_g(0.7, 2.5 + cut), [1e-300])
@@ -126,11 +121,12 @@ CELLS = [
 
 
 # points of g each cell's sum evaluates, at t and at t+1: the term-by-term
-# stopping index, except on the unit circle away from 1 (the LAM7 cells),
-# where the sum stops at its first head of 50 terms plus the 27-point
-# Euler-Boole difference window
-STOP_INDEX = [(51, 51), (77, 77), (205134, 265221),
-              (77, 77), (265221, 205134), (51, 51)]
+# stopping index off the unit circle; on it away from 1 (the LAM7 cells) the
+# first head of 50 terms plus the 27-point Euler-Boole difference window; at
+# lam = 1 every point up to N = 400, the first of the doublings 25, 50, ...
+# at which an extrapolant moves by less than tol from its value at N/2
+STOP_INDEX = [(51, 51), (77, 77), (400, 400),
+              (77, 77), (400, 400), (51, 51)]
 
 
 class TestOneSidedAverage:
@@ -190,6 +186,62 @@ class TestOneSidedAverage:
         want = lerch_average(lam, sign, r, t)
         for tol in tols:
             assert abs(one_sided_average(spec, t, tol=tol) - want) <= tol * abs(want)
+
+    @pytest.mark.parametrize("i", range(40))
+    def test_lambda_one_matches_mpmath(self, i):
+        # seeded cells at lam = 1, where the averages are Hurwitz zeta values,
+        # at tol 1e-12
+        rng = np.random.default_rng(8000 + i)
+        sign = ("plus", "minus")[i % 2]
+        r = complex(rng.uniform(-3.0, 0.95), rng.uniform(-1.0, 1.0))
+        t = complex(rng.uniform(0.5, 4.0), rng.uniform(-1.0, 1.0))
+        t = t if sign == "plus" else -t.conjugate()
+        got = one_sided_average(AverageSpec(1.0, sign, r, power_g(r)), t, tol=1e-12)
+        want = lerch_average(1.0, sign, r, t)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("r,t", [(0.5, 3.0 - 0.2j), (0.9 + 0.3j, 2.0 + 0.1j)])
+    def test_lambda_one_near_re_r_one(self, r, t):
+        # the tail falls only like N^{Re r-1}: a term-by-term sum needs
+        # millions of terms here, the extrapolation a few thousand
+        got = one_sided_average(AverageSpec(1.0, "plus", r, power_g(r)), t, tol=1e-10)
+        want = lerch_average(1.0, "plus", r, t)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("sign,t", [("plus", -24.5 + 0j), ("plus", -60.3 + 0.2j),
+                                        ("minus", 25.5 + 0j), ("minus", 60.3 + 0.2j)])
+    def test_lambda_one_walks_past_the_origin(self, sign, t):
+        # the shifted points pass 0, so the first u_N have Re u_N <= 0 (u_25 = 0
+        # at t = -24.5 and 25.5); g = z^-3 has no branch: the reference is a
+        # 30-digit head of 1000 terms plus a Hurwitz zeta tail
+        with mp.workdps(30):
+            T = mp.mpc(t)
+            if sign == "plus":
+                want = mp.fsum((T + n) ** -3 for n in range(1000)) + mp.zeta(3, T + 1000)
+            else:
+                want = mp.zeta(3, 1001 - T) - mp.fsum((T - m) ** -3 for m in range(1, 1001))
+            want = complex(want)
+        spec = AverageSpec(1.0, sign, -1.0, lambda z: z ** -3.0)
+        assert abs(one_sided_average(spec, t, tol=1e-10) - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("sign,true_r,r,tol", [
+        ("plus", -0.5, -1.0, 1e-10),
+        ("minus", -0.5, -1.0, 1e-10),
+        ("plus", -0.5, 0.3, 1e-8),
+        ("plus", -2.0, -0.7, 1e-12),
+    ])
+    def test_lambda_one_misdeclared_exponent(self, sign, true_r, r, tol):
+        # g = (iz)^{true_r-2} under a spec declaring r: the tail does not
+        # follow the exponents the extrapolation assumes, so the sum must be
+        # refused or still meet tol
+        t = 2.5 - 0.3j if sign == "plus" else -2.5 - 0.3j
+        spec = AverageSpec(1.0, sign, r, power_g(true_r))
+        try:
+            got = one_sided_average(spec, t, tol=tol)
+        except RefusalError:
+            return
+        want = lerch_average(1.0, sign, true_r, t)
+        assert abs(got - want) <= tol * abs(want)
 
     @pytest.mark.parametrize("g", [lambda z: 1.0, lambda z: 1.0 + 1.0 / z])
     def test_unit_circle_refuses_non_decaying_g(self, g):
@@ -301,6 +353,23 @@ class TestAverageContinued:
             average_continued(rational_h, 2.0, LAM7, "minus", -4.0 - 0.3j)
         with pytest.raises(DomainError):
             average_continued(rational_h, 0.7, 0.9, "plus", 4.0 - 0.3j)
+
+
+def test_criterion_6_work_count(monkeypatch):
+    # the full criterion 6 evaluates g and h at no more than 10,000 points
+    # (its lam = 1 sums took ~970k under a term-by-term stopping rule)
+    count = 0
+    real = averages._values
+
+    def counted(f, z):
+        nonlocal count
+        count += z.size
+        return real(f, z)
+
+    monkeypatch.setattr(averages, "_values", counted)
+    crit = {num: fn for num, _, fn in CRITERIA}[6]
+    crit(True)
+    assert 0 < count <= 10_000
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,10 @@ from eichler import (
     lerch_asymptotic,
     lerch_b_coeffs,
 )
+from eichler.specfun import _abel_plana
 
 mp.mp.dps = 30
+EPS = float(np.finfo(float).eps)
 
 RNG_SEED = 20260814
 
@@ -499,6 +501,43 @@ def test_lerch_methods_agree_for_re_s_above_one():
 @pytest.mark.parametrize("s,a,z", LERCH_SEAM_ROWS)
 def test_lerch_seam_rows_against_mpmath(s, a, z):
     assert rel_err(hurwitz_lerch(s, a, z), lerch_mp(s, a, z)) < 1e-12
+
+
+def abel_plana_loop(s, a, z, M):
+    # _abel_plana's rule node by node: i int_0^inf [f(M+iy) - f(M-iy)] /
+    # (e^{2 pi y} - 1) dy on 9 panels of 48 Gauss nodes.  Returns the value
+    # and a rounding scale: each f = e^x is good to about (1+|x|) eps, so
+    # the sum of |weight f| (1+|x|) over both f of every node
+    Y = 42.0 / (2.0 * math.pi * (1.0 - abs(a.real)) - 1e-9)
+    edges = np.concatenate(([0.0], np.geomspace(0.02, Y, 9)))
+    nodes, weights = np.polynomial.legendre.leggauss(48)
+    total, scale = 0j, 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        for x, w in zip(nodes, weights):
+            y = mid + half * x
+            xp = 2j * math.pi * a * (M + 1j * y) - s * cmath.log(z + M + 1j * y)
+            xm = 2j * math.pi * a * (M - 1j * y) - s * cmath.log(z + M - 1j * y)
+            fp, fm = cmath.exp(xp), cmath.exp(xm)
+            wgt = w * half / math.expm1(2.0 * math.pi * y)
+            total += wgt * (fp - fm)
+            scale += wgt * (abs(fp) * (1 + abs(xp)) + abs(fm) * (1 + abs(xm)))
+    return 1j * total, scale
+
+
+def test_abel_plana_matches_node_loop():
+    # the array evaluation sums in another order and takes numpy's exp and
+    # log: within a few eps of the loop's rounding scale
+    for i in range(50):
+        rng = np.random.default_rng(9000 + i)
+        s = complex(rng.uniform(-3.9, 0.3), rng.uniform(-3.0, 3.0))
+        a = complex(rng.uniform(-0.5, 0.5))
+        z = complex(rng.uniform(-3.0, 3.0), rng.uniform(0.05, 3.0))
+        M = 0
+        while (z + M).real < 1.5 or abs(z + M) < 2.5:
+            M += 1
+        want, scale = abel_plana_loop(s, a, z, M)
+        assert abs(_abel_plana(s, a, z, M) - want) <= 4 * EPS * scale, (s, a, z)
 
 
 def test_lerch_records_its_branch():

@@ -38,6 +38,7 @@ INVOCATIONS = [
     "lerch --s=-1.5,0.5 --a 0 --z 0.6",
     "average --lam 1.5 --sign plus --r 0.7",
     "average --lam 1.0 --sign minus --r -1.0 --points 3",
+    "average --lam 1.0 --sign plus --r 0.5",
     "average --format csv",
     "cocycle-check --r 1.3,0.4",
     "cocycle-check --r 2.5 --points 2",
