@@ -94,6 +94,14 @@ def lerch_average(lam, sign, r, t):
         return complex(v)
 
 
+def seeded_r_t(rng, sign):
+    # an admissible weight, Re r in [-3, 0.95], and a start point t on the
+    # side the sum walks away from
+    r = complex(rng.uniform(-3.0, 0.95), rng.uniform(-1.0, 1.0))
+    t = complex(rng.uniform(0.5, 4.0), rng.uniform(-1.0, 1.0))
+    return r, (t if sign == "plus" else -t.conjugate())
+
+
 # (lam, sign, r, t, tolerances) on the unit circle: two near lam = 1, where
 # |c| = |mu/(1-mu)| is 20 and 100 and the head must grow to thousands of
 # terms, one near lam = -1 on the minus side, and a tolerance sweep at e^{0.3i}
@@ -173,9 +181,7 @@ class TestOneSidedAverage:
         rng = np.random.default_rng(7000 + i)
         sign = ("plus", "minus")[i % 2]
         lam = cmath.exp(1j * rng.uniform(0.3, 2.0 * math.pi - 0.3))
-        r = complex(rng.uniform(-3.0, 0.95), rng.uniform(-1.0, 1.0))
-        t = complex(rng.uniform(0.5, 4.0), rng.uniform(-1.0, 1.0))
-        t = t if sign == "plus" else -t.conjugate()
+        r, t = seeded_r_t(rng, sign)
         got = one_sided_average(AverageSpec(lam, sign, r, power_g(r)), t, tol=1e-13)
         want = lerch_average(lam, sign, r, t)
         assert abs(got - want) <= 1e-12 * abs(want)
@@ -191,11 +197,8 @@ class TestOneSidedAverage:
     def test_lambda_one_matches_mpmath(self, i):
         # seeded cells at lam = 1, where the averages are Hurwitz zeta values,
         # at tol 1e-12
-        rng = np.random.default_rng(8000 + i)
         sign = ("plus", "minus")[i % 2]
-        r = complex(rng.uniform(-3.0, 0.95), rng.uniform(-1.0, 1.0))
-        t = complex(rng.uniform(0.5, 4.0), rng.uniform(-1.0, 1.0))
-        t = t if sign == "plus" else -t.conjugate()
+        r, t = seeded_r_t(np.random.default_rng(8000 + i), sign)
         got = one_sided_average(AverageSpec(1.0, sign, r, power_g(r)), t, tol=1e-12)
         want = lerch_average(1.0, sign, r, t)
         assert abs(got - want) <= 1e-12 * abs(want)
