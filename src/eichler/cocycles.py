@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import rgamma as _rgamma
 
 from .algebra import (ARG_CUT_DOWN, GroupElement, MultiplierSystem, S, T,
                       power_branch, slash_multiplier)
 from .errors import DomainError, RefusalError
 from .quadrature import INF, ContourSpec, contour_integral
-from .specfun import (_pentagonal, binom_complex, eta_power_coeffs, eta_power_eval,
-                      incomplete_gamma)
+from .specfun import (_pentagonal, _rgamma, binom_complex, eta_power_coeffs,
+                      eta_power_eval, incomplete_gamma)
 
 __all__ = [
     "CocycleSample", "FormEvaluator", "GoldfeldResult", "LSeriesValue",
@@ -248,7 +247,7 @@ def L_eta_detailed(r: complex, s: complex) -> LSeriesValue:
             mag += abs(lo) + abs(hi)
             if abs(lo + hi) < 1e-18 * max(abs(acc), 1e-300) and k > 4:
                 break
-        scale = (2 * math.pi) ** s * complex(_rgamma(s))
+        scale = (2 * math.pi) ** s * _rgamma(s)
         value = acc * scale
         size = max(abs(value), abs((r / 12.0) ** (-s)))
     except OverflowError as exc:
@@ -332,8 +331,9 @@ class GoldfeldResult:
     """L'_f(1) from the eta-log integral, with the cocycle slope cross-check.
 
     lprime = -4 pi int_0^inf f(iy) u(iy) dy with u = log(eta(iy) eta(iNy));
-    slope = (psi_{f_r}(p;0) - psi_{f_0}(p;0))/r at small r, which the
-    functional equation forces to equal -i int f u dy = i L'(1)/(4 pi).
+    slope = d/dr psi_{f_r}(p;0) at r = 0, differentiated under the integral:
+    i [(i pi/2) int f dy + int f u dy + int f log y dy], which the Fricke
+    symmetry forces to equal -i int f u dy = i L'(1)/(4 pi).
     """
 
     lprime: float
@@ -425,13 +425,10 @@ def goldfeld_lprime(a: Sequence[float], N: int, tol: float = 1e-7) -> GoldfeldRe
     u_int = _ray_integral(lambda y: f(y) * u(y), decay, tol)
     lprime = -4.0 * math.pi * u_int.real
 
-    # cocycle slope: psi_{f_r}(p;0) = i e^{i pi r/2} int f(iy) e^{r u} y^r dy
-    def psi_p(r: float) -> complex:
-        val = _ray_integral(lambda y: f(y) * math.exp(r * (u(y) + math.log(y))), decay, tol)
-        return 1j * cmath.exp(1j * math.pi * r / 2.0) * val
-
-    r_step = 1e-3
-    slope = (psi_p(r_step) - psi_p(0.0)) / r_step
+    # cocycle slope: d/dr at r = 0 of psi_{f_r}(p;0) = i e^{i pi r/2} int f e^{r u} y^r dy
+    f_int = _ray_integral(f, decay, tol)
+    log_int = _ray_integral(lambda y: f(y) * math.log(y), decay, tol)
+    slope = 1j * (0.5j * math.pi * f_int + u_int + log_int)
     return GoldfeldResult(lprime=lprime, slope=slope, l1=l1, u_integral=u_int)
 
 

@@ -1,8 +1,10 @@
 """Special functions backing the period and average machinery.
 
 Fourier coefficients of eta powers and their evaluation by Euler's
-pentagonal series, the upper incomplete gamma function on the cut plane,
-Gauss and Kummer hypergeometric series, and the Hurwitz-Lerch zeta
+pentagonal series, the gamma function and its reciprocal (private: a
+Stirling series with reflection, so the package needs no scipy), the upper
+incomplete gamma function on the cut plane, Gauss and Kummer hypergeometric
+series, and the Hurwitz-Lerch zeta
 
     H(s, a, z) = sum_{n >= 0} e^{2 pi i a n} (z + n)^{-s},
 
@@ -31,12 +33,15 @@ from typing import Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gamma as _cgamma
 
 from .errors import BranchError, DomainError, PoleError, RefusalError
 
 TWO_PI = 2.0 * math.pi
 _EULER = 0.5772156649015328606
+_HALF_LOG_2PI = 0.5 * math.log(TWO_PI)
+# B_2, B_4, ..., B_20
+_BERN = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+         43867 / 798, -174611 / 330)
 
 __all__ = [
     "EtaPowerSeries",
@@ -193,6 +198,59 @@ def eta_power_eval(r: complex, z: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# gamma function
+
+# Stirling coefficients B_2k / (2k (2k-1)), k = 1..10
+_STIRLING = tuple(b / (2 * k * (2 * k - 1)) for k, b in enumerate(_BERN, 1))
+
+
+def _sin_pi(z: complex) -> complex:
+    # sin(pi z) after removing the nearest integer exactly, so the value
+    # keeps its relative accuracy next to the zeros
+    n = round(z.real)
+    s = cmath.sin(math.pi * (z - n))
+    return -s if n % 2 else s
+
+
+def _log_gamma_shifted(z: complex) -> Tuple[complex, complex]:
+    # (L, P) with Gamma(z) = e^L / P for Re z >= 1/2: P = z (z+1) ... (w-1)
+    # shifts up to |w| >= 7, where the first omitted Stirling term,
+    # B_22 / (462 w^21), is below 3e-17; e^L's rounding grows with |L|, so a
+    # longer shift would cost digits
+    P = 1.0 + 0j
+    w = z
+    while abs(w) < 7.0:
+        P *= w
+        w += 1.0
+    v = 1.0 / (w * w)
+    ser = 0j
+    for c in reversed(_STIRLING):
+        ser = ser * v + c
+    return (w - 0.5) * cmath.log(w) - w + _HALF_LOG_2PI + ser / w, P
+
+
+def _gamma(z: complex) -> complex:
+    # Gamma(z) off the poles; reflection Gamma(z) Gamma(1-z) = pi / sin(pi z)
+    # for Re z < 1/2 (DLMF 5.5.3), the Stirling series (DLMF 5.11.1) beyond
+    z = complex(z)
+    if z.real < 0.5:
+        return math.pi * _rgamma(1.0 - z) / _sin_pi(z)
+    L, P = _log_gamma_shifted(z)
+    return cmath.exp(L) / P
+
+
+def _rgamma(z: complex) -> complex:
+    # 1/Gamma(z), entire: exactly 0 at z = 0, -1, -2, ...
+    z = complex(z)
+    if z.real < 0.5:
+        if z.imag == 0 and z.real == round(z.real):
+            return 0j
+        return _sin_pi(z) * _gamma(1.0 - z) / math.pi
+    L, P = _log_gamma_shifted(z)
+    return P * cmath.exp(-L)
+
+
+# ---------------------------------------------------------------------------
 # incomplete gamma
 
 
@@ -205,7 +263,7 @@ def _gamma_series_direct(a: complex, u: complex) -> complex:
         term *= -u / (n + 1)
         if abs(term) < 1e-18 * max(abs(s), 1e-300) and n > 3:
             break
-    return complex(_cgamma(a)) - cmath.exp(a * cmath.log(u)) * s
+    return _gamma(a) - cmath.exp(a * cmath.log(u)) * s
 
 
 def _gamma_series_lower(a: complex, u: complex) -> complex:
@@ -217,7 +275,7 @@ def _gamma_series_lower(a: complex, u: complex) -> complex:
         s += term
         if abs(term) < 1e-18 * abs(s):
             break
-    return complex(_cgamma(a)) - cmath.exp(a * cmath.log(u) - u) * s
+    return _gamma(a) - cmath.exp(a * cmath.log(u) - u) * s
 
 
 def _gamma_series_int_nonpos(n: int, u: complex) -> complex:
@@ -300,18 +358,21 @@ def incomplete_gamma(a: complex, u: complex) -> complex:
     """Upper incomplete gamma Gamma(a, u) = int_u^inf v^{a-1} e^{-v} dv.
 
     Principal branch, defined on u in C minus (-inf, 0].  Alternating series
-    for small |u|; for Re u >= 0 the lower-gamma series Gamma(a) - gamma(a, u)
-    while |u| < Re a + 1 and the continued fraction beyond; asymptotic series
-    for very large |u|, and an arc-path integral bridging the left half plane.
+    for |u| <= 6 and Re u <= 1; beyond, for Re u >= 0, the lower-gamma series
+    Gamma(a) - gamma(a, u) while |u| < Re a + 1 and the continued fraction
+    after; asymptotic series for very large |u|, and an arc-path integral
+    bridging the left half plane.  The two series subtract from the complete
+    Gamma(a), taken from this module's Stirling series with reflection.
+    a = 0 gives the exponential integral E_1(u).
     """
     a = complex(a)
     u = complex(u)
     if u.imag == 0 and u.real <= 0:
         raise BranchError("Gamma(a, u) is not defined on the cut (-inf, 0]")
     au = abs(u)
-    # direct series cancels badly for Re u past ~4.5, sooner for very negative Re a
-    series_cap = max(1.0, 4.5 - 0.35 * max(0.0, -a.real - 1.0))
-    if au <= 6 and u.real <= series_cap:
+    # the alternating series loses ~e^{2 Re u} to cancellation (1e-13 of
+    # E_1(u) at u = 4.1), so from Re u = 1 on the continued fraction takes over
+    if au <= 6 and u.real <= 1.0:
         if a.imag == 0 and a.real == round(a.real) and a.real <= 0:
             return _gamma_series_int_nonpos(int(-a.real), u)
         return _gamma_series_direct(a, u)
@@ -398,7 +459,6 @@ class LerchEval:
     method: str  # direct | shifted
 
 
-_BERN = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)  # B_2, B_4, ..., B_10
 _FACT = tuple(math.factorial(k) for k in range(16))
 
 

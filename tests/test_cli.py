@@ -297,10 +297,20 @@ def test_reach_invocation_parses(line):
     assert callable(build_parser().parse_args(shlex.split(line)).handler)
 
 
-def test_import_eichler_leaves_cli_unloaded():
-    # the library does not pull in its command-line front end
+def _run_fresh(code):
+    # run code in a fresh interpreter that imports this package
     src = str(pathlib.Path(eichler.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import sys, eichler; assert 'eichler.cli' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_import_eichler_leaves_cli_unloaded():
+    # the library does not pull in its command-line front end
+    _run_fresh("import sys, eichler; assert 'eichler.cli' not in sys.modules")
+
+
+def test_import_eichler_cli_leaves_scipy_unloaded():
+    # scipy is a test oracle only: the library and its CLI start without it
+    _run_fresh("import sys, eichler, eichler.cli; "
+               "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")

@@ -449,7 +449,16 @@ class TestGoldfeld:
         out = goldfeld_lprime(a, 37, tol=1e-8)
         # small-r slope of the cocycle family equals -i int f u dy
         want = -1j * out.u_integral
-        assert abs(out.slope - want) <= 0.01 * abs(want)
+        assert abs(out.slope - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-7])
+    def test_slope_at_battery_tolerances(self, tol):
+        # taken under the integral, the slope meets -i int f u dy to rounding
+        # at criterion 13's quadrature tolerances (1e-6 quick, 1e-7 full)
+        a = newform37_coeffs(200)
+        out = goldfeld_lprime(a, 37, tol=tol)
+        want = -1j * out.u_integral
+        assert abs(out.slope - want) <= 1e-10 * abs(want)
 
     def test_normalization_rejected(self):
         a = [2.0] + [0.0] * 30

@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gamma as scipy_gamma, rgamma as scipy_rgamma
 
 from eichler import (
     BranchError,
@@ -23,7 +24,7 @@ from eichler import (
     lerch_asymptotic,
     lerch_b_coeffs,
 )
-from eichler.specfun import _abel_plana
+from eichler.specfun import _abel_plana, _gamma, _rgamma
 
 mp.mp.dps = 30
 EPS = float(np.finfo(float).eps)
@@ -208,6 +209,50 @@ def test_eta_eval_rejects_lower_half_plane():
 
 
 # ---------------------------------------------------------------------------
+# gamma function
+
+
+def _gamma_grid():
+    # Re z in [-12, 30], |Im z| <= 30, plus points within 1e-3 of the poles
+    # 0, -1, ..., -12 and points on the reflection seam Re z = 1/2
+    rng = np.random.default_rng(RNG_SEED)
+    pts = [complex(rng.uniform(-12, 30), rng.uniform(-30, 30)) for _ in range(800)]
+    pts += [-float(k) + complex(*rng.uniform(-1e-3, 1e-3, 2)) for k in rng.integers(0, 13, 100)]
+    pts += [complex(0.5, y) for y in rng.uniform(-30, 30, 100)]
+    return pts
+
+
+def test_gamma_and_reciprocal_no_worse_than_scipy():
+    # mpmath is the oracle; the gate is scipy's own worst error on the grid
+    worst = {"gamma": 0.0, "rgamma": 0.0, "scipy gamma": 0.0, "scipy rgamma": 0.0}
+    with mp.workdps(40):
+        for z in _gamma_grid():
+            want = mp.gamma(mp.mpc(z))
+            for name, got, ref in (("gamma", _gamma(z), want), ("rgamma", _rgamma(z), 1 / want),
+                                   ("scipy gamma", complex(scipy_gamma(z)), want),
+                                   ("scipy rgamma", complex(scipy_rgamma(z)), 1 / want)):
+                worst[name] = max(worst[name], float(abs(mp.mpc(got) - ref) / abs(ref)))
+    assert worst["gamma"] <= worst["scipy gamma"] < 1e-13, worst
+    assert worst["rgamma"] <= worst["scipy rgamma"] < 1e-13, worst
+
+
+def test_rgamma_vanishes_exactly_at_the_poles():
+    for z in (0, -1, -5):
+        assert _rgamma(z) == 0
+    assert _rgamma(-5 + 1e-300j) != 0
+
+
+def test_e1_against_mpmath_at_criterion_13_points():
+    # E_1(x) = Gamma(0, x), the smoothed-series oracle of `eichler goldfeld`
+    worst = 0.0
+    for n in range(1, 201):
+        x = 2 * math.pi * n / math.sqrt(37)
+        want = mp.e1(x)
+        worst = max(worst, float(abs(incomplete_gamma(0, x) - want) / want))
+    assert worst <= 1e-13
+
+
+# ---------------------------------------------------------------------------
 # incomplete gamma
 
 
@@ -258,22 +303,18 @@ def test_gamma_against_mpmath_grid():
         assert rel_err(incomplete_gamma(a, u), want) < 1e-12, (a, u)
 
 
-def _series_cap(a):
-    # incomplete_gamma's bound on Re u for the alternating series
-    return max(1.0, 4.5 - 0.35 * max(0.0, -complex(a).real - 1.0))
-
-
 # rows 1e-9 either side of incomplete_gamma's three seams: |u| = 6 (on
-# both sides of the imaginary axis), Re u = series_cap and, in the left
-# half plane, |u| = 35 + 2.2|a| between the arc path and the asymptotic
-# series; a = -3 and 0 take the integer route inside the series disc
+# both sides of the imaginary axis), Re u = 1 (the alternating series'
+# bound) and, in the left half plane, |u| = 35 + 2.2|a| between the arc
+# path and the asymptotic series; a = -3 and 0 take the integer route
+# inside the series disc
 GAMMA_SEAM_ROWS = [
     pytest.param(a, u, id=f"{name}{d:+g}-a={a}")
     for d in (-1e-9, 1e-9)
     for a in (0.5, -2.3 + 0.7j, 2.5 + 0.5j, -3, 0, 4 - 1j, -6.5 + 0.2j)
     for name, u in (("abs-u-6-right", (6.0 + d) * cmath.exp(1.45j)),
                     ("abs-u-6-left", (6.0 + d) * cmath.exp(2.2j)),
-                    ("series-cap", complex(_series_cap(a) + d, 2.0)),
+                    ("series-cap", complex(1.0 + d, 2.0)),
                     ("asymptotic", (35.0 + 2.2 * abs(a) + d) * cmath.exp(2.5j)))
 ]
 

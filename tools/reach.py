@@ -35,6 +35,7 @@ INVOCATIONS = [
     "l-value --r 2.5,0.5 --s -6.2",
     "l-value --r 12 --s -2",
     "lerch --s 2.5 --a 0.3 --z 1.7",
+    "lerch --s 2.5 --a 0.3,0.2 --z 1.7",
     "lerch --s=-1.5,0.5 --a 0 --z 0.6",
     "average --lam 1.5 --sign plus --r 0.7",
     "average --lam 1.0 --sign minus --r -1.0 --points 3",
