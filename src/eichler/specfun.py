@@ -14,9 +14,11 @@ Conventions
 -----------
 * All powers are principal unless stated otherwise.
 * H(s, a, z) needs Im a >= 0 so that |e^{2 pi i a n}| stays bounded.
-* Continuation of H uses the shift identity plus an order-8
-  Euler-Maclaurin correction (Abel-Plana integral as fallback when the
-  correction stalls).  It is refused for Re s <= -4, where the error grows
+* For e^{-2 pi Im a} > 0.9, H comes from one continuation: the shift
+  identity plus an order-8 Euler-Maclaurin correction (Abel-Plana integral
+  as fallback when the correction stalls).  A shift of more than 1e5
+  terms is refused, and so is an underflowing |z|^{-Re s}.  The
+  continuation is also refused for Re s <= -4, where the error grows
   quickly (6e-9 relative at s = -10, 6e-4 at s = -20, a = 0).  Against
   mpmath on Re s in (-4, 0], |Im s| <= 3, the relative error stays below
   ~3e-11 (a few 1e-12 at a = 0).  The geometric direct sum for Im a > 0
@@ -537,20 +539,19 @@ def _lerch_geometric(s: complex, a: complex, z: complex, q: float, tol: float) -
     return tot
 
 
-def _lerch_plain(s: complex, a: complex, z: complex, N: int) -> complex:
+# the continuation refuses a shift longer than this many head terms
+_LERCH_SHIFT_MAX = 100_000
+
+
+def _lerch_base(s: complex, a: complex, z: complex, M: int) -> complex:
     # head + tail integral + half term: Euler-Maclaurin at order zero
-    w = z + N
-    phase = cmath.exp(2j * math.pi * a * N)
-    return (_lerch_head(s, a, z, N) + _lerch_tail_integral(s, a, w) * phase
+    if M > _LERCH_SHIFT_MAX:
+        raise RefusalError(f"H(s, a, z) at s={s}, a={a}, z={z} needs a shift of "
+                           f"more than {_LERCH_SHIFT_MAX} terms")
+    w = z + M
+    phase = cmath.exp(2j * math.pi * a * M)
+    return (_lerch_head(s, a, z, M) + _lerch_tail_integral(s, a, w) * phase
             + 0.5 * phase * _lerch_pow(w, s))
-
-
-def _lerch_scale(s: complex, a: complex, z: complex) -> float:
-    # |z|^{-Re s}, the size the direct-sum truncation targets are relative to
-    scale = max(abs(z), 1.0) ** (-s.real)
-    if scale == 0.0:
-        raise RefusalError(f"H(s,a,z) at s={s}, a={a}, z={z}: |z|^(-Re s) underflows")
-    return scale
 
 
 def _lerch_value(s: complex, a: complex, z: complex, tol: float) -> Tuple[complex, str]:
@@ -559,27 +560,17 @@ def _lerch_value(s: complex, a: complex, z: complex, tol: float) -> Tuple[comple
     q = math.exp(-TWO_PI * a.imag)
     if q <= 0.9:
         return _lerch_geometric(s, a, z, q, tol), "direct"
-    if sig >= 2.5:
-        # plain sum viable when the order-zero truncation cost stays modest
-        scale = _lerch_scale(s, a, z)
-        N = (tol * scale * (sig - 1)) ** (1.0 / (1.0 - sig))
-        if N < 60000:
-            N = int(N) + int(abs(z)) + 10
-            return _lerch_plain(s, a, z, N), "direct"
     if sig <= -4.0:
         raise RefusalError(f"continuation of H(s, a, z) is not accurate for "
                            f"Re s <= -4 (s={s})")
+    if max(abs(z), 1.0) ** (-sig) == 0.0:
+        raise RefusalError(f"H(s,a,z) at s={s}, a={a}, z={z}: |z|^(-Re s) underflows")
     # shifted Euler-Maclaurin, order 8
     if sig >= 0.3:
-        R = 15.0 + 3.0 * abs(s) + 8.0 * abs(a)
-        M = int(max(0.0, R - z.real)) + 1
-        while abs(z + M) < R:
-            M += 8
-        w = z + M
+        M = int(max(0.0, 15.0 + 3.0 * abs(s) + 8.0 * abs(a) - z.real)) + 1
+        base = _lerch_base(s, a, z, M)
         phaseM = cmath.exp(2j * math.pi * a * M)
-        base = (_lerch_head(s, a, z, M) + _lerch_tail_integral(s, a, w) * phaseM
-                + 0.5 * phaseM * _lerch_pow(w, s))
-        derivs = _lerch_derivs(s, a, w, 9)
+        derivs = _lerch_derivs(s, a, z + M, 9)
         em = 0j
         for j in range(1, 5):
             em -= _BERN[j - 1] / _FACT[2 * j] * derivs[2 * j - 1] * phaseM
@@ -587,27 +578,23 @@ def _lerch_value(s: complex, a: complex, z: complex, tol: float) -> Tuple[comple
         est = 3.0 * abs(_BERN[4] / _FACT[10] * derivs[9])
         if est < tol * max(abs(value8), 1e-300):
             return value8, "shifted"
-    # Abel-Plana with a short shift: keeps head/tail cancellation mild,
-    # which matters once Re s < 0
-    M = 0
-    while (z + M).real < 1.5 or abs(z + M) < 2.5:
+    # Abel-Plana with a short shift, to Re(z+M) >= 1.5 and |z+M| >= 2.5: keeps
+    # head/tail cancellation mild, which matters once Re s < 0
+    M = max(0, math.ceil(1.5 - z.real))
+    if abs(z + M) < 2.5:
         M += 1
-    w = z + M
-    phaseM = cmath.exp(2j * math.pi * a * M)
-    base = (_lerch_head(s, a, z, M) + _lerch_tail_integral(s, a, w) * phaseM
-            + 0.5 * phaseM * _lerch_pow(w, s))
-    return base + _abel_plana(s, a, z, M), "shifted"
+    return _lerch_base(s, a, z, M) + _abel_plana(s, a, z, M), "shifted"
 
 
 def hurwitz_lerch_detailed(s: complex, a: complex, z: complex,
                            tol: float = 1e-12) -> LerchEval:
     """Hurwitz-Lerch zeta H(s, a, z) with the evaluation method recorded.
 
-    "direct": the defining series, summed term by term when e^{-2 pi Im a}
-    <= 0.9, else for Re s >= 2.5 as a head plus tail integral when fewer
-    than 6e4 terms suffice.  "shifted": the continuation, an order-8
-    Euler-Maclaurin sum after a shift (Re s >= 0.3) or the Abel-Plana
-    formula.  A value that overflows or is not finite is refused with
+    "direct": the defining series, summed term by term, when
+    e^{-2 pi Im a} <= 0.9.  "shifted": otherwise, the continuation, an
+    order-8 Euler-Maclaurin sum after a shift (Re s >= 0.3) or the
+    Abel-Plana formula.  A value that overflows or is not finite, a shift
+    of more than 1e5 terms and an underflowing |z|^{-Re s} are refused with
     RefusalError.
     """
     s = complex(s)

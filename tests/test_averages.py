@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from eichler import averages
+from eichler import averages, specfun
 from eichler.algebra import ARG_CUT_UP, ARG_UPPER, power_branch
 from eichler.averages import (AverageSpec, average_asymptotic_coeffs,
                               average_continued, one_sided_average)
@@ -373,6 +373,24 @@ def test_criterion_6_work_count(monkeypatch):
     crit = {num: fn for num, _, fn in CRITERIA}[6]
     crit(True)
     assert 0 < count <= 10_000
+
+
+def test_criteria_5_6_lerch_head_terms(monkeypatch):
+    # the full criteria 5 and 6 sum no more than 5,000 Hurwitz-Lerch head
+    # terms (a plain head-plus-integral sum for Re s >= 2.5 took 100,386)
+    terms = 0
+    real = specfun._lerch_head
+
+    def counted(s, a, z, M):
+        nonlocal terms
+        terms += max(M, 0)
+        return real(s, a, z, M)
+
+    monkeypatch.setattr(specfun, "_lerch_head", counted)
+    criteria = {num: fn for num, _, fn in CRITERIA}
+    criteria[5](True)
+    criteria[6](True)
+    assert 0 < terms <= 5_000
 
 
 # ---------------------------------------------------------------------------

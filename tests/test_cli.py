@@ -108,6 +108,8 @@ class TestExitCodes:
         (["cocycle-check", "--r", "1,1e300"], "r=(1+1e+300j)"),
         (["lerch", "--s", "300", "--a", "0.3", "--z", "0.01"], "s=(300+0j)"),
         (["lerch", "--s", "2.5,700", "--a", "0.3", "--z", "1.7"], "s=(2.5+700j)"),
+        (["lerch", "--s", "1,1e300", "--a", "0.3", "--z", "1.7"], "s=(1+1e+300j)"),
+        (["lerch", "--s=-1.5", "--a", "0.3", "--z=-1e300,1"], "z=(-1e+300+1j)"),
     ])
     def test_overflowing_input_is_3(self, argv, named):
         # finite but huge: refused by the library, naming the input

@@ -500,12 +500,13 @@ def test_lerch_pole_and_domain_errors():
 
 
 # Im a where q = e^{-2 pi Im a} = 0.9: the geometric sum above, the
-# continuation (or the plain sum) below
+# continuation below
 _Q_SEAM = math.log(1 / 0.9) / (2 * math.pi)
 
 # rows either side of the points where hurwitz_lerch switches branches:
 # q = 0.9, and Re s = 0.3 between shifted Euler-Maclaurin and Abel-Plana;
-# the last row takes the plain head-plus-integral sum
+# the last two rows take the continuation at Re s >= 2.5; in the second the
+# tail integral's factor e^{-2 pi i a w} grows with the shift w = z + M
 LERCH_SEAM_ROWS = [
     pytest.param(s, complex(re_a, _Q_SEAM + d), z, id=f"q-seam{d:+g}-s={s}-z={z}")
     for d in (-1e-9, 1e-9)
@@ -515,7 +516,8 @@ LERCH_SEAM_ROWS = [
     pytest.param(complex(0.3 + d, im_s), a, z, id=f"re-s-seam{d:+g}-im_s={im_s}-z={z}")
     for d in (-1e-9, 1e-9)
     for im_s, a, z in ((0.0, 0.3, 1.7), (2.0, 0.0, 2.5 + 3j), (-1.0, 0.25, 0.6))
-] + [pytest.param(6.0, 0.3, 1.7, id="plain-sum-s=6")]
+] + [pytest.param(6.0, 0.3, 1.7, id="plain-sum-s=6"),
+      pytest.param(4.0, 0.15 + 0.006j, 4.5 + 1.5j, id="long-head-s=4")]
 
 
 def lerch_mp(s, a, z):
@@ -582,9 +584,17 @@ def test_abel_plana_matches_node_loop():
 
 
 def test_lerch_records_its_branch():
-    assert hurwitz_lerch_detailed(6.0, 0.3, 1.7).method == "direct"
+    assert hurwitz_lerch_detailed(6.0, 0.3, 1.7).method == "shifted"
     assert hurwitz_lerch_detailed(0.7, 0.25j, 1.7).method == "direct"
     assert hurwitz_lerch_detailed(0.7, 0.25, 1.7).method == "shifted"
+
+
+@pytest.mark.parametrize("s,z", [(2 + 4e4j, 1.7), (-1.5, -2e5 + 1j)])
+def test_lerch_refuses_a_long_shift(s, z):
+    # the Euler-Maclaurin shift grows with |s|, the Abel-Plana one with
+    # -Re z: past the budget they are refused, not summed
+    with pytest.raises(RefusalError, match="shift of more than"):
+        hurwitz_lerch(s, 0.3, z)
 
 
 def test_lerch_negative_s_envelope():

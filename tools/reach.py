@@ -37,6 +37,8 @@ INVOCATIONS = [
     "lerch --s 2.5 --a 0.3 --z 1.7",
     "lerch --s 2.5 --a 0.3,0.2 --z 1.7",
     "lerch --s=-1.5,0.5 --a 0 --z 0.6",
+    "lerch --s 0.2 --a 0.7 --z 4,1",
+    "lerch --s 2.5 --a 0.7 --z 1.7,0.5",
     "average --lam 1.5 --sign plus --r 0.7",
     "average --lam 1.0 --sign minus --r -1.0 --points 3",
     "average --lam 1.0 --sign plus --r 0.5",
