@@ -23,14 +23,11 @@ from .algebra import (
     MultiplierSystem,
     S,
     T,
-    from_word,
-    matrix_to_word,
     multiplier_eval,
     power_branch,
     scaling_matrix,
     slash,
     slash_multiplier,
-    t_power,
 )
 from .errors import (
     BranchError,
@@ -38,7 +35,6 @@ from .errors import (
     EichlerError,
     PoleError,
     RefusalError,
-    UnsupportedGroupError,
 )
 from .specfun import (
     EtaPowerSeries,

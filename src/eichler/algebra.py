@@ -11,10 +11,10 @@ half-planes use the two different closures of (-pi, pi):
   straight down from the base point)
 * ``ARG_CUT_UP``  : arg in [-3pi/2, pi/2)  -- powers of z-i (cut pointing up)
 
-Integral matrices are stored exactly; multiplier systems are evaluated by
-walking a word in the generators T=(1,1;0,1), S=(0,-1;1,0) while tracking the
-integer branch defect of the automorphy factor, so the value extends
-consistently from the generators to the whole group.
+Group elements are integer matrices of SL2(Z).  The multiplier system of
+eta^{2r} is evaluated in Rademacher's closed form, v(g) = exp(pi i r phi(g))
+with an exact rational phase phi built from the Dedekind sum s(d, c)
+(Rademacher & Grosswald, Dedekind Sums, 1972; Apostol, GTM 41, Thm 3.4).
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Literal, Optional, Sequence, Tuple, Union
+from typing import Callable, Literal, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, PoleError, RefusalError, UnsupportedGroupError
+from .errors import DomainError, PoleError, RefusalError
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,56 +101,33 @@ def power_branch(base: Union[complex, np.ndarray], exponent: complex,
 # ---------------------------------------------------------------------------
 # group elements
 
-Word = Tuple[Tuple[str, int], ...]  # (("T", n) | ("S", k)) factors, left to right
-
-Scalar = Union[int, float]
-
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A unit-determinant 2x2 real matrix, exact when the entries are integers."""
+    """An element of SL2(Z): a 2x2 integer matrix of determinant 1."""
 
-    a: Scalar
-    b: Scalar
-    c: Scalar
-    d: Scalar
-    word: Optional[Word] = None
+    a: int
+    b: int
+    c: int
+    d: int
 
     def __post_init__(self) -> None:
+        if not all(isinstance(x, int) for x in self.entries()):
+            raise DomainError(f"entries {self.entries()} are not all integers")
         det = self.a * self.d - self.b * self.c
-        if self.is_integral:
-            if det != 1:
-                raise DomainError(f"determinant {det} != 1")
-        elif abs(det - 1.0) > 1e-12:
-            raise DomainError(f"determinant {det} not within 1e-12 of 1")
-
-    @property
-    def is_integral(self) -> bool:
-        return all(isinstance(x, int) for x in (self.a, self.b, self.c, self.d))
+        if det != 1:
+            raise DomainError(f"determinant {det} != 1")
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        w = None
-        if self.word is not None and other.word is not None:
-            w = merge_word(self.word + other.word)
         return GroupElement(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
-            w,
         )
 
     def inv(self) -> "GroupElement":
-        w = None
-        if self.word is not None:
-            # S has order 4, so S^k inverts to S^(4-k) without a sign ambiguity
-            w = merge_word(
-                tuple(
-                    (g, -n) if g == "T" else ("S", (-n) % 4)
-                    for g, n in reversed(self.word)
-                )
-            )
-        return GroupElement(self.d, -self.b, -self.c, self.a, w)
+        return GroupElement(self.d, -self.b, -self.c, self.a)
 
     def cd(self, z: complex) -> complex:
         return self.c * z + self.d
@@ -173,76 +150,13 @@ class GroupElement:
             return math.inf
         return Fraction(self.a * x + self.b) / Fraction(den)
 
-    def entries(self) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
+    def entries(self) -> Tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
 
-def merge_word(word: Sequence[Tuple[str, int]]) -> Word:
-    """Combine adjacent equal generators, reduce S mod 4, drop trivial factors."""
-    out: list[Tuple[str, int]] = []
-    for g, n in word:
-        if out and out[-1][0] == g:
-            n += out.pop()[1]
-        if g == "S":
-            n %= 4
-        if n != 0:
-            out.append((g, n))
-    return tuple(out)
-
-
-IDENTITY = GroupElement(1, 0, 0, 1, ())
-T = GroupElement(1, 1, 0, 1, (("T", 1),))
-S = GroupElement(0, -1, 1, 0, (("S", 1),))
-
-
-def t_power(n: int) -> GroupElement:
-    return GroupElement(1, n, 0, 1, ((("T", n),) if n else ()))
-
-
-def from_word(word: Sequence[Tuple[str, int]]) -> GroupElement:
-    """Multiply out a word in T, S (integer T-exponents, any S-exponents)."""
-    m = IDENTITY
-    for g, n in word:
-        if g == "T":
-            m = m @ t_power(n)
-        elif g == "S":
-            for _ in range((n % 4)):
-                m = m @ S
-        else:
-            raise DomainError(f"unknown generator {g!r}")
-    return m
-
-
-def matrix_to_word(g: GroupElement) -> Word:
-    """A word in T, S whose product is exactly g (Euclidean reduction).
-
-    Deterministic: the bottom row is reduced by T-steps with round-half-up
-    quotients (so |c|=|d| resolves to a T-step), then swapped by S; a final
-    S^2 absorbs the sign.
-    """
-    if not g.is_integral:
-        raise DomainError("matrix_to_word requires integer entries")
-    a, b, c, d = g.entries()
-    peeled: list[Tuple[str, int]] = []  # rightmost factor first
-    while c != 0:
-        n = math.floor(Fraction(d, c) + Fraction(1, 2))  # round half up: T-step wins ties
-        if n != 0:
-            d -= n * c
-            b -= n * a
-            peeled.append(("T", n))
-        # right-multiply by S^-1 = (0,1;-1,0): columns (a,c),(b,d) -> (-b,-d),(a,c)
-        a, b, c, d = -b, a, -d, c
-        peeled.append(("S", 1))
-    word: list[Tuple[str, int]] = []
-    if a == 1:
-        if b != 0:
-            word.append(("T", b))
-    else:  # a == d == -1: matrix is T^b * S^2 up to merging
-        if b != 0:
-            word.append(("T", -b))
-        word.append(("S", 2))
-    word.extend(reversed(peeled))
-    return merge_word(word)
+IDENTITY = GroupElement(1, 0, 0, 1)
+T = GroupElement(1, 1, 0, 1)
+S = GroupElement(0, -1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,66 +165,49 @@ def matrix_to_word(g: GroupElement) -> Word:
 
 @dataclass(frozen=True)
 class MultiplierSystem:
-    """Weight-r multiplier system on the modular group, given on the generators."""
+    """The weight-r multiplier system of eta^{2r}: v(T) = e^{pi i r/6}, v(S) = e^{-pi i r/2}."""
 
     weight: complex
-    vT: complex
-    vS: complex
-
-    @classmethod
-    def modular(cls, r: complex) -> "MultiplierSystem":
-        """The analytic family with v(T) = e^{pi i r/6}, v(S) = e^{-pi i r/2}."""
-        r = complex(r)
-        try:
-            return cls(r, cmath.exp(1j * math.pi * r / 6.0),
-                       cmath.exp(-1j * math.pi * r / 2.0))
-        except OverflowError:
-            raise RefusalError(f"multiplier system overflows at r={r}") from None
-
-    def __call__(self, g: GroupElement) -> complex:
-        return multiplier_eval(self, g)
 
 
-_Z0 = 2j  # fixed interior test point for branch-defect bookkeeping
+def _dedekind_sum(d: int, c: int) -> Fraction:
+    """s(d, c) = sum_{k mod c} ((k/c)) ((dk/c)) for c > 0 and gcd(d, c) = 1.
 
-
-def _branch_defect(m: GroupElement, x: GroupElement, mx: GroupElement) -> int:
-    """Integer k with arg(j_m at x z0) + arg(j_x at z0) = arg(j_mx at z0) + 2 pi k."""
-    phi = (
-        ARG_UPPER.arg(m.cd(x.apply(_Z0)))
-        + ARG_UPPER.arg(x.cd(_Z0))
-        - ARG_UPPER.arg(mx.cd(_Z0))
-    )
-    return round(phi / TWO_PI)
+    Reciprocity s(h, k) + s(k, h) = (h/k + k/h + 1/(hk))/12 - 1/4 and
+    s(h, k) = s(h mod k, k) reduce (d, c) like Euclid's algorithm.
+    """
+    total = Fraction(0)
+    sign = 1
+    h, k = d % c, c
+    while h:
+        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        sign = -sign
+        h, k = k % h, h
+    return total
 
 
 def multiplier_eval(ms: MultiplierSystem, g: GroupElement) -> complex:
-    """v(g) extended from the generators so that j(g,z) = v(g)(cz+d)^r is a cocycle."""
-    word = g.word
-    if word is None:
-        if not g.is_integral:
-            raise UnsupportedGroupError("multiplier systems are only evaluated on integral matrices")
-        word = matrix_to_word(g)
-    m = IDENTITY
-    v = 1.0 + 0.0j
-    steps: list[Tuple[GroupElement, complex]] = []
-    for gen, n in word:
-        if gen == "T":
-            steps.append((t_power(n), ms.vT**n))
-        else:
-            steps.extend([(S, ms.vS)] * (n % 4))
-    # the word may reproduce -g; S^2 = -I patches the sign exactly
-    prod = from_word(word)
-    if prod.entries() == tuple(-x for x in g.entries()):
-        steps.extend([(S, ms.vS)] * 2)
-    elif prod.entries() != g.entries():
-        raise DomainError("word does not reproduce the matrix up to sign")
-    for x, vx in steps:
-        mx = m @ x
-        k = _branch_defect(m, x, mx)
-        v *= vx * cmath.exp(2j * math.pi * ms.weight * k)
-        m = mx
-    return v
+    """v(g) with eta^{2r}(gz) = v(g) (cz+d)^r eta^{2r}(z), arg(cz+d) in (-pi, pi].
+
+    Rademacher's closed form: v(g) = exp(pi i r phi) with the exact rational
+    phase phi = (a+d)/(6c) - 2 s(d, c) - 1/2 for c > 0, s the Dedekind sum;
+    phi(g) = phi(-g) + 1 for c < 0; phi = b/6 for c = 0, d = 1 and
+    -(b/6 + 1) for c = 0, d = -1 (Rademacher & Grosswald, Dedekind Sums,
+    1972; Apostol, Modular Functions and Dirichlet Series, Thm 3.4).
+    """
+    a, b, c, d = g.entries()
+    if c == 0:
+        phase = Fraction(b, 6) if d == 1 else -Fraction(b, 6) - 1
+    else:
+        turn = 0
+        if c < 0:
+            a, c, d, turn = -a, -c, -d, 1
+        phase = Fraction(a + d, 6 * c) - 2 * _dedekind_sum(d, c) - Fraction(1, 2) + turn
+    try:
+        return cmath.exp(1j * math.pi * ms.weight * float(phase))
+    except (OverflowError, ValueError):
+        raise RefusalError(f"multiplier v(g) for g={g.entries()} overflows at "
+                           f"r={complex(ms.weight)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -361,27 +258,14 @@ def slash_multiplier(
 # ---------------------------------------------------------------------------
 # cusps
 
-CuspLike = Union[Fraction, int, float]
 
+def scaling_matrix(x: Fraction) -> GroupElement:
+    """An integral g with g(inf) = x.
 
-def as_cusp(x: CuspLike) -> Union[Fraction, float]:
-    """Normalize a cusp to a Fraction, or +inf for the cusp at infinity."""
-    if isinstance(x, float):
-        if math.isinf(x):
-            return math.inf
-        return Fraction(x).limit_denominator(10**9)
-    return Fraction(x)
-
-
-def scaling_matrix(cusp: CuspLike) -> GroupElement:
-    """An integral g with g(inf) = cusp; the identity for the cusp at infinity.
-
-    For a/c in lowest terms (c > 0) the second column is the minimal solution
-    of a*y - b*c = 1, which pins the choice up to the stated T-normalization.
+    For x = a/c in lowest terms (c > 0) the second column is the minimal
+    solution of a*y - b*c = 1, which pins the choice up to the stated
+    T-normalization.
     """
-    x = as_cusp(cusp)
-    if isinstance(x, float):
-        return IDENTITY
     a, c = x.numerator, x.denominator  # Fraction guarantees c > 0, gcd 1
     # extended gcd: find y, b with a*y - c*b = 1 and |b| minimal
     y, b = _ext_gcd_pair(a, c)

@@ -61,7 +61,7 @@ class FormEvaluator:
     @staticmethod
     def eta_power(r: complex) -> "FormEvaluator":
         r = complex(r)
-        return FormEvaluator(r, MultiplierSystem.modular(r))
+        return FormEvaluator(r, MultiplierSystem(r))
 
     def __call__(self, z: complex) -> complex:
         z = complex(z)
@@ -303,7 +303,7 @@ def verify_period_relations(r: complex, samples: Sequence[complex] = DEFAULT_SAM
                             tol: float = 1e-7, quad_tol: float = 1e-9) -> ResidualReport:
     """max residuals of psi|S + psi and psi - psi|(T + TST), action |_{v_r,2-r}."""
     r = complex(r)
-    ms = MultiplierSystem.modular(r)
+    ms = MultiplierSystem(r)
     p = 2.0 - r
     TST = T @ S @ T
 

@@ -22,9 +22,5 @@ class BranchError(DomainError):
     """Evaluation on a branch cut where no continuous value exists."""
 
 
-class UnsupportedGroupError(DomainError):
-    """Matrix operations that require an integral modular-group element."""
-
-
 class RefusalError(EichlerError):
     """Legal input refused because the requested accuracy cannot be certified."""

@@ -365,7 +365,10 @@ def cauchy_formula(F: Func, r: complex, zprime: complex, circle: ContourSpec,
         # on the circle, dzbar = -rho^2/(u-center)^2 dz
         return A - f * dQ * rho * rho / (u - center) ** 2
 
-    res = contour_integral(integrand, circle, tol=tol)
+    try:
+        res = contour_integral(integrand, circle, tol=tol)
+    except OverflowError as exc:
+        raise RefusalError(f"Green's form at r={r}, z'={zprime} overflows ({exc})") from exc
     if not res.converged and res.error > max(1.0, abs(res.value)):
         raise RefusalError(f"circle integral has no significant digit (value "
                            f"{abs(res.value):.3g}, error estimate {res.error:.3g})")
@@ -457,32 +460,36 @@ def polar_expansion_partial(r: complex, z: complex, tau: complex, terms: int = 4
     if abs(wz - wt) <= 1e-12:
         raise DomainError("|w(z)| = |w(tau)|: point pair on the expansion boundary")
 
-    if wz > wt:
-        n = _integer_weight(r)
-        if n is not None:
-            # finite expansion: mu runs over 1-r .. -1
-            acc = _p_extra(n, z, tau)
-            for nu in range(n - 1):
-                coef = (-1) ** nu * math.comb(n - 2, nu)
+    try:
+        if wz > wt:
+            n = _integer_weight(r)
+            if n is not None:
+                # finite expansion: mu runs over 1-r .. -1
+                acc = _p_extra(n, z, tau)
+                for nu in range(n - 1):
+                    coef = (-1) ** nu * math.comb(n - 2, nu)
+                    acc += coef * polar_eval(PolarIndex(2.0 - r, nu), "P", tau) \
+                        * polar_eval(PolarIndex(r, -nu - 1), "M", z)
+                return acc
+            acc = 0j
+            for nu in range(terms):
+                coef = pochhammer(2.0 - r, nu) / math.factorial(nu)
                 acc += coef * polar_eval(PolarIndex(2.0 - r, nu), "P", tau) \
                     * polar_eval(PolarIndex(r, -nu - 1), "M", z)
             return acc
-        acc = 0j
-        for nu in range(terms):
-            coef = pochhammer(2.0 - r, nu) / math.factorial(nu)
-            acc += coef * polar_eval(PolarIndex(2.0 - r, nu), "P", tau) \
-                * polar_eval(PolarIndex(r, -nu - 1), "M", z)
-        return acc
 
-    acc = 0j
-    for nu in range(1, terms + 1):
-        coef = pochhammer(1.0 - r, nu) / math.factorial(nu)
-        acc -= coef * polar_eval(PolarIndex(2.0 - r, nu - 1), "P", tau) \
-            * polar_eval(PolarIndex(r, -nu), "H", z)
-    for mu in range(terms):
-        acc -= polar_eval(PolarIndex(2.0 - r, -mu - 1), "P", tau) \
-            * polar_eval(PolarIndex(r, mu), "P", z)
-    return acc
+        acc = 0j
+        for nu in range(1, terms + 1):
+            coef = pochhammer(1.0 - r, nu) / math.factorial(nu)
+            acc -= coef * polar_eval(PolarIndex(2.0 - r, nu - 1), "P", tau) \
+                * polar_eval(PolarIndex(r, -nu), "H", z)
+        for mu in range(terms):
+            acc -= polar_eval(PolarIndex(2.0 - r, -mu - 1), "P", tau) \
+                * polar_eval(PolarIndex(r, mu), "P", z)
+        return acc
+    except OverflowError as exc:
+        raise RefusalError(f"polar expansion at r={r}, terms={terms}: a coefficient "
+                           f"overflows ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------

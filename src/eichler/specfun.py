@@ -600,6 +600,8 @@ def hurwitz_lerch_detailed(s: complex, a: complex, z: complex,
     s = complex(s)
     a = complex(a)
     z = complex(z)
+    if not (cmath.isfinite(s) and cmath.isfinite(a) and cmath.isfinite(z)):
+        raise DomainError(f"H(s, a, z) needs finite s, a, z; got s={s}, a={a}, z={z}")
     if a.imag < 0:
         raise DomainError("H(s, a, z) needs Im a >= 0")
     if z.imag == 0 and z.real <= 0:

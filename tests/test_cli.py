@@ -110,10 +110,15 @@ class TestExitCodes:
         (["lerch", "--s", "2.5,700", "--a", "0.3", "--z", "1.7"], "s=(2.5+700j)"),
         (["lerch", "--s", "1,1e300", "--a", "0.3", "--z", "1.7"], "s=(1+1e+300j)"),
         (["lerch", "--s=-1.5", "--a", "0.3", "--z=-1e300,1"], "z=(-1e+300+1j)"),
+        (["quantum", "--r=24.37,-9.571", "--a=1e9", "--z0=-33.63,34"], "r=(24.37-9.571j)"),
+        (["kernel-expand", "--terms=100000"], "terms=100000"),
+        (["cauchy", "--r=-1e9"], "r=(-1000000000+0j)"),
     ])
     def test_overflowing_input_is_3(self, argv, named):
         # finite but huge: refused by the library, naming the input
+        start = time.perf_counter()
         code, text = run(argv)
+        assert time.perf_counter() - start < 10.0
         assert code == 3
         err = json.loads(text)["error"]
         assert err["type"] == "RefusalError"

@@ -62,7 +62,7 @@ class TestFormEvaluator:
         # invariance_residual does for the evaluator
         tau = eta_power_coeffs(12.0, 60).coeffs
         delta = lambda z: sum(tau[k] * cmath.exp(2j * math.pi * (1 + k) * z) for k in range(61))
-        ms = MultiplierSystem.modular(12.0)
+        ms = MultiplierSystem(12.0)
         worst = 0.0
         for g in (T, S):
             for z in (2j, 0.3 + 1.1j, -0.7 + 0.8j, 1.4 + 2.2j, -2.1 + 0.6j):
@@ -75,7 +75,7 @@ class TestFormEvaluator:
         F = FormEvaluator.eta_power(0)
         assert F(1.7j) == 1.0
         assert F.weight == 0
-        assert F.multiplier == MultiplierSystem(0j, 1.0 + 0j, 1.0 + 0j)
+        assert F.multiplier == MultiplierSystem(0j)
         assert not F.is_cuspidal
         assert F.invariance_residual() <= 1e-12
 

@@ -499,6 +499,13 @@ def test_lerch_pole_and_domain_errors():
         hurwitz_lerch(2.0, 0.0, -3.0)
 
 
+@pytest.mark.parametrize("s,a,z", [(math.nan, 0.3, 1.7), (-1.5, 0.3, complex(math.nan, 1)),
+                                   (1.5, 0.3, complex(math.nan, 1)), (2.5, math.inf, 1.7)])
+def test_lerch_rejects_non_finite_input(s, a, z):
+    with pytest.raises(DomainError):
+        hurwitz_lerch(s, a, z)
+
+
 # Im a where q = e^{-2 pi Im a} = 0.9: the geometric sum above, the
 # continuation below
 _Q_SEAM = math.log(1 / 0.9) / (2 * math.pi)
