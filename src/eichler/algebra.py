@@ -194,6 +194,9 @@ def multiplier_eval(ms: MultiplierSystem, g: GroupElement) -> complex:
     phi(g) = phi(-g) + 1 for c < 0; phi = b/6 for c = 0, d = 1 and
     -(b/6 + 1) for c = 0, d = -1 (Rademacher & Grosswald, Dedekind Sums,
     1972; Apostol, Modular Functions and Dirichlet Series, Thm 3.4).
+    The exponent pi r phi carries a rounding error of an ulp of its modulus;
+    where that exceeds sqrt(eps) the phase means nothing and v(g) is refused
+    with RefusalError, the rule of eta_power_eval.
     """
     a, b, c, d = g.entries()
     if c == 0:
@@ -204,7 +207,11 @@ def multiplier_eval(ms: MultiplierSystem, g: GroupElement) -> complex:
             a, c, d, turn = -a, -c, -d, 1
         phase = Fraction(a + d, 6 * c) - 2 * _dedekind_sum(d, c) - Fraction(1, 2) + turn
     try:
-        return cmath.exp(1j * math.pi * ms.weight * float(phase))
+        e = 1j * math.pi * ms.weight * float(phase)
+        if abs(e) > 2.0 ** 26:  # eps * |e| > sqrt(eps)
+            raise RefusalError(f"multiplier v(g) for g={g.entries()} at r={complex(ms.weight)}: "
+                               f"rounding of the exponent of modulus {abs(e):.3g} swamps the phase")
+        return cmath.exp(e)
     except (OverflowError, ValueError):
         raise RefusalError(f"multiplier v(g) for g={g.entries()} overflows at "
                            f"r={complex(ms.weight)}") from None

@@ -126,11 +126,12 @@ class CocycleSample:
         return self.value
 
 
-def _omega(F: FormEvaluator, t: complex) -> Callable[[complex], complex]:
+def _omega(F: FormEvaluator, t) -> Callable[[complex], complex]:
+    # (z-t)^{r-2} F(z); for an array of t, one F(z) serves every t
     r = F.weight
 
-    def f(z: complex) -> complex:
-        return power_branch(z - t, r - 2.0, ARG_CUT_DOWN) * F(z)
+    def f(z: complex):
+        return F(z) * power_branch(z - t, r - 2.0, ARG_CUT_DOWN)
 
     return f
 
@@ -161,53 +162,69 @@ def eichler_cocycle(F: FormEvaluator, gamma: GroupElement, z0: complex,
     return CocycleSample(gamma, t, res.value, z0, res.error, res.converged)
 
 
-def cusp_cocycle(F: FormEvaluator, gamma: GroupElement, t: complex,
+def cusp_cocycle(F: FormEvaluator, gamma: GroupElement, t,
                  tol: float = 1e-10) -> CocycleSample:
-    """psi^{infinity}_{F,gamma}(t): base point at the cusp, F cuspidal."""
+    """psi^{infinity}_{F,gamma}(t): base point at the cusp, F cuspidal.
+
+    t may be a 1-D array of points: value and error are then arrays, from one
+    integral whose nodes, and evaluations of F, every t shares.
+    """
     if not F.is_cuspidal:
         raise DomainError("cusp cocycle needs a cusp form (Re r > 0)")
-    t = complex(t)
-    if t.imag > 0:
+    ts = np.asarray(t, dtype=complex)
+    if np.any(ts.imag > 0):
         raise DomainError("cocycles are evaluated on the closed lower half-plane")
+    t = complex(ts) if ts.ndim == 0 else ts
     if gamma.c == 0:
         # gamma fixes infinity; the cycle is empty
-        return CocycleSample(gamma, t, 0j, INF)
+        return CocycleSample(gamma, t, 0j if ts.ndim == 0 else np.zeros_like(ts), INF)
     ginv = gamma.inv()
     cusp = ginv.a / ginv.c
-    res = contour_integral(_omega(F, t), ContourSpec.geodesic(cusp, INF, decay=F.decay_rate),
-                           tol=tol)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            res = contour_integral(_omega(F, t), ContourSpec.geodesic(cusp, INF, decay=F.decay_rate),
+                                   tol=tol)
+    except (OverflowError, FloatingPointError) as exc:
+        raise RefusalError(f"psi at r={F.weight}: the integrand overflows ({exc})") from exc
     return CocycleSample(gamma, t, res.value, INF, res.error, res.converged)
 
 
-def period_function(r: complex, t: complex, tol: float = 1e-10) -> complex:
-    """psi^{infinity}_{eta^{2r}, S}(t), the period function of eta^{2r}."""
+def period_function(r: complex, t, tol: float = 1e-10):
+    """psi^{infinity}_{eta^{2r}, S}(t), the period function of eta^{2r}.
+
+    t may be a 1-D array; the values are then an array, from one integral.
+    """
     return cusp_cocycle(FormEvaluator.eta_power(r), S, t, tol=tol).value
 
 
 # ---------------------------------------------------------------------------
 # Mellin transform and L-series of eta powers
 
-def I_integral(r: complex, s: complex, tol: float = 1e-11) -> complex:
+def I_integral(r: complex, s, tol: float = 1e-11):
     """I(r,s) = int_0^infty y^s eta^{2r}(iy) dy/y, Re r > 0.
 
-    The (0,1) part is pulled back through eta^{2r}(i/y) = y^r eta^{2r}(iy),
-    so the integrand on [1,infty) is (y^s + y^{r-s}) eta^{2r}(iy)/y and the
-    symmetry I(r,s) = I(r,r-s) is built in.
+    One trapezoid integral over the whole ray 0 -> i infinity.  s may be a
+    1-D array: the values are then an array, one per s, sharing every node
+    and its eta evaluation.  The functional equation I(r,s) = I(r,r-s)
+    is not built in, so comparing the two sides is a check.
     """
     r = complex(r)
-    s = complex(s)
     if r.real <= 0:
         raise DomainError("I(r,s) needs Re r > 0")
+    ss = np.asarray(s, dtype=complex)
+    sm1 = ss - 1.0
 
-    def f(z: complex) -> complex:
-        y = z.imag  # exact on the vertical ray
-        return (y ** s + y ** (r - s)) * eta_power_eval(r, z) / y / 1j
+    def f(z: complex):
+        # y^{s-1} eta^{2r}(iy) dy with dy = dz/i; y is exact on the vertical ray
+        return np.exp(sm1 * math.log(z.imag)) * (eta_power_eval(r, z) / 1j)
 
     try:
-        res = contour_integral(f, ContourSpec.geodesic(1j, INF, decay=math.pi * r.real / 6.0),
-                               tol=tol)
-    except OverflowError as exc:
-        raise RefusalError(f"I(r,s) at r={r}, s={s}: the integrand overflows ({exc})") from exc
+        with np.errstate(over="raise", invalid="raise"):
+            res = contour_integral(f, ContourSpec.geodesic(0.0, INF, decay=math.pi * r.real / 6.0),
+                                   tol=tol)
+    except (OverflowError, FloatingPointError) as exc:
+        name = complex(ss) if ss.ndim == 0 else s
+        raise RefusalError(f"I(r,s) at r={r}, s={name}: the integrand overflows ({exc})") from exc
     return res.value
 
 
@@ -275,7 +292,8 @@ def period_series_coeffs(r: complex, N: int, tol: float = 1e-11) -> Tuple[comple
     if r.real <= 0:
         raise DomainError("period coefficients need Re r > 0")
     phase = cmath.exp(1j * math.pi * (r - 1.0) / 2.0)
-    return tuple(phase * 1j ** n * binom_complex(r - 2.0, n) * I_integral(r, r - 1.0 - n, tol)
+    mellin = I_integral(r, r - 1.0 - np.arange(N), tol)
+    return tuple(phase * 1j ** n * binom_complex(r - 2.0, n) * complex(mellin[n])
                  for n in range(N))
 
 
@@ -306,9 +324,13 @@ def verify_period_relations(r: complex, samples: Sequence[complex] = DEFAULT_SAM
     ms = MultiplierSystem(r)
     p = 2.0 - r
     TST = T @ S @ T
-
-    def psi(t: complex) -> complex:
-        return period_function(r, t, tol=quad_tol)
+    samples = [complex(t) for t in samples]
+    if any(t.imag >= 0 for t in samples):
+        raise DomainError("period relations are checked in the open lower half-plane")
+    # psi at every t, S t, T t and TST t from one integral; the slashes look
+    # their psi values up, at the points g.apply computes
+    points = list(dict.fromkeys(samples + [g.apply(t) for t in samples for g in (S, T, TST)]))
+    psi = dict(zip(points, period_function(r, np.array(points), tol=quad_tol))).__getitem__
 
     def sl(g: GroupElement, t: complex) -> complex:
         return slash_multiplier(psi, ms, p, g, t, "lower")
@@ -384,8 +406,8 @@ def _smoothed_g(a: Sequence[float], x: float) -> float:
     return float(np.sum(arr / (2 * math.pi * ns) * np.exp(-2 * math.pi * ns * x)))
 
 
-def _ray_integral(g: Callable[[float], complex], decay: float, tol: float) -> complex:
-    # int_0^inf g(y) dy over the vertical geodesic
+def _ray_integral(g: Callable[[float], np.ndarray], decay: float, tol: float) -> np.ndarray:
+    # int_0^inf g(y) dy over the vertical geodesic, componentwise
     res = contour_integral(lambda z: g(z.imag) / 1j, ContourSpec.geodesic(0.0, INF, decay=decay),
                            tol=tol)
     return res.value
@@ -422,12 +444,11 @@ def goldfeld_lprime(a: Sequence[float], N: int, tol: float = 1e-7) -> GoldfeldRe
     # integrable against the cusp form
     u = lambda y: _log_eta(y) + _log_eta(N * y)
     decay = 2 * math.pi / max(N, 4)
-    u_int = _ray_integral(lambda y: f(y) * u(y), decay, tol)
+    # int f u dy, and for the cocycle slope, d/dr at r = 0 of
+    # psi_{f_r}(p;0) = i e^{i pi r/2} int f e^{r u} y^r dy, int f dy and int f log y dy
+    u_int, f_int, log_int = (complex(v) for v in _ray_integral(
+        lambda y: f(y) * np.array([u(y), 1.0, math.log(y)]), decay, tol))
     lprime = -4.0 * math.pi * u_int.real
-
-    # cocycle slope: d/dr at r = 0 of psi_{f_r}(p;0) = i e^{i pi r/2} int f e^{r u} y^r dy
-    f_int = _ray_integral(f, decay, tol)
-    log_int = _ray_integral(lambda y: f(y) * math.log(y), decay, tol)
     slope = 1j * (0.5j * math.pi * f_int + u_int + log_int)
     return GoldfeldResult(lprime=lprime, slope=slope, l1=l1, u_integral=u_int)
 

@@ -27,7 +27,7 @@ from .algebra import ARG_CUT_DOWN, GroupElement, power_branch
 from .cocycles import FormEvaluator, _e2_eval
 from .errors import DomainError, PoleError, RefusalError
 from .quadrature import ContourSpec, contour_integral
-from .specfun import gauss_2f1, kummer_1f1, pochhammer
+from .specfun import gauss_2f1, kummer_1f1
 
 __all__ = [
     "PolarIndex",
@@ -472,15 +472,17 @@ def polar_expansion_partial(r: complex, z: complex, tau: complex, terms: int = 4
                         * polar_eval(PolarIndex(r, -nu - 1), "M", z)
                 return acc
             acc = 0j
+            coef = 1.0 + 0j  # (2-r)_nu / nu!, as a running product
             for nu in range(terms):
-                coef = pochhammer(2.0 - r, nu) / math.factorial(nu)
                 acc += coef * polar_eval(PolarIndex(2.0 - r, nu), "P", tau) \
                     * polar_eval(PolarIndex(r, -nu - 1), "M", z)
+                coef *= (2.0 - r + nu) / (nu + 1)
             return acc
 
         acc = 0j
+        coef = 1.0 + 0j  # (1-r)_nu / nu!, as a running product
         for nu in range(1, terms + 1):
-            coef = pochhammer(1.0 - r, nu) / math.factorial(nu)
+            coef *= (nu - r) / nu
             acc -= coef * polar_eval(PolarIndex(2.0 - r, nu - 1), "P", tau) \
                 * polar_eval(PolarIndex(r, -nu), "H", z)
         for mu in range(terms):

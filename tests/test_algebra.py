@@ -248,6 +248,14 @@ def test_multiplier_refuses_overflow_naming_r(r, named):
     assert named in str(exc.value)
 
 
+def test_multiplier_refuses_meaningless_phase():
+    # |pi r phi| ~ 5e305: the exponent is finite, but its rounding error dwarfs
+    # 2 pi, so the phase is noise (eps |pi r phi| > sqrt(eps))
+    with pytest.raises(RefusalError) as exc:
+        multiplier_eval(MultiplierSystem(1e300), GroupElement(1, 0, 10**6, 1))
+    assert "r=(1e+300+0j)" in str(exc.value)
+
+
 def test_j_cocycle_property():
     rng = np.random.default_rng(RNG_SEED + 1)
     r = 1.3 + 0.4j

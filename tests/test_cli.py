@@ -252,6 +252,13 @@ class TestSubcommands:
         assert code == 0
         assert max(rec["residuals"]) <= 1e-4
 
+    def test_kernel_expand_past_171_terms(self):
+        # (p)_nu / nu! as a running product: no factorial past float range
+        code, rec = run_json(["kernel-expand", "--terms", "200"])
+        assert code == 0
+        kern, part = (complex(*row["value"]) for row in rec["results"])
+        assert abs(part - kern) <= 1e-8
+
 
 # ---------------------------------------------------------------------------
 # the verification battery

@@ -12,6 +12,7 @@ from scipy.special import exp1, gamma as gamma_fn
 
 from eichler.algebra import (ARG_CUT_DOWN, IDENTITY, MultiplierSystem, S, T,
                              power_branch, slash_multiplier)
+from eichler.cli import CRITERIA
 from eichler.cocycles import (DEFAULT_SAMPLES, FormEvaluator, I_integral,
                               L_eta, L_eta_detailed, _e2_eval, cusp_cocycle,
                               eichler_cocycle, goldfeld_lprime, newform37_coeffs,
@@ -225,6 +226,18 @@ class TestCuspCocycle:
             report = verify_period_relations(r, tol=1e-7)
             assert report.passed, report.checks
 
+    def test_vector_agrees_with_scalar(self):
+        # one integral for many t gives each t's value within the errors
+        for r in (2.5, 12.0, 0.3, 1.3 + 0.4j):
+            F = FormEvaluator.eta_power(r)
+            ts = np.array(DEFAULT_SAMPLES + (0.3 - 20j, 0.05 * cmath.exp(-1j * math.pi / 16)))
+            vec = cusp_cocycle(F, S, ts, tol=1e-9)
+            assert np.array_equal(period_function(r, ts, tol=1e-9), vec.value)
+            for t, v, e in zip(ts, vec.value, vec.error):
+                one = cusp_cocycle(F, S, t, tol=1e-9)
+                assert type(one.value) is complex
+                assert abs(v - one.value) <= e + one.error
+
     def test_report_structure(self):
         report = verify_period_relations(2.5, samples=DEFAULT_SAMPLES[:2])
         names = [name for name, _ in report.checks]
@@ -232,16 +245,35 @@ class TestCuspCocycle:
         assert report.max_residual >= 0
 
     def test_period_relations_evaluate_psi_four_times_per_sample(self, monkeypatch):
-        # psi(t) once, plus psi at S t, T t and TST t
+        # psi(t) once, plus psi at S t, T t and TST t, all in one call
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return period_function(*args, **kwargs)
+        def counted(r, t, **kwargs):
+            calls.append(np.size(t))
+            return period_function(r, t, **kwargs)
 
         monkeypatch.setattr("eichler.cocycles.period_function", counted)
         verify_period_relations(2.5)
-        assert len(calls) == 4 * len(DEFAULT_SAMPLES)
+        assert calls == [4 * len(DEFAULT_SAMPLES)]
+
+
+CRITERIA_BY_NUM = {num: fn for num, _, fn in CRITERIA}
+
+
+def test_criteria_2_3_4_eta_work_count(monkeypatch):
+    # the full criteria 2, 3 and 4 evaluate eta^{2r} at no more than 1,500
+    # points (one adaptive Gauss-Legendre integral per t or s took 15,348)
+    count = 0
+
+    def counted(r, z):
+        nonlocal count
+        count += np.size(z)
+        return eta_power_eval(r, z)
+
+    monkeypatch.setattr("eichler.cocycles.eta_power_eval", counted)
+    for num in (2, 3, 4):
+        CRITERIA_BY_NUM[num](True)
+    assert 0 < count <= 1_500
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +282,9 @@ class TestCuspCocycle:
 
 class TestIIntegral:
     def test_symmetry(self):
-        # I(r,s) = I(r,r-s); the pullback makes this structural, so the
-        # residual only probes that both calls hit the same quadrature
+        # I(r,s) = I(r,r-s), the functional equation; I integrates
+        # y^{s-1} eta^{2r}(iy) over the whole ray, so the two sides are
+        # different sums
         a = I_integral(12.0, 3.7)
         b = I_integral(12.0, 12.0 - 3.7)
         assert abs(a - b) <= 1e-9 * abs(a)
@@ -263,6 +296,22 @@ class TestIIntegral:
             lhs = I_integral(12.0, s)
             rhs = (2 * math.pi) ** (-s) * gamma_fn(s) * L_eta(12.0, s)
             assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
+
+    def test_vector_agrees_with_scalar(self):
+        ss = np.array([6.0, 3.7, 8.3, -9.5, 2.5 + 1.5j])
+        vec = I_integral(12.0, ss)
+        for s, v in zip(ss, vec):
+            assert abs(v - I_integral(12.0, s)) <= 1e-11 * abs(v)
+
+    def test_symmetry_check_sees_a_perturbed_eta(self, monkeypatch):
+        # eta^{2r} times (1 + 1e-6 Im z) breaks the functional equation, and
+        # the full criterion 3 must say so in its symmetry check
+        real = eta_power_eval
+        monkeypatch.setattr("eichler.cocycles.eta_power_eval",
+                            lambda r, z: real(r, z) * (1.0 + 1e-6 * z.imag))
+        checks = {c["name"]: c for c in CRITERIA_BY_NUM[3](True)}
+        sym = checks["I(12,3.7) = I(12,8.3)"]
+        assert sym["residual"] > sym["tolerance"]
 
     def test_small_r_is_finite(self):
         a = I_integral(1.0, 1.0, tol=1e-11)

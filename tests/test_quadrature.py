@@ -3,11 +3,14 @@
 import cmath
 import math
 
+import time
+
+import mpmath as mp
 import numpy as np
 import pytest
 
 from eichler.algebra import ARG_CUT_DOWN, power_branch
-from eichler.errors import DomainError
+from eichler.errors import DomainError, RefusalError
 from eichler.quadrature import INF, ContourSpec, _GeodesicPath, contour_integral
 
 RNG_SEED = 20260814
@@ -178,3 +181,65 @@ def test_unconverged_flag():
 
     res = contour_integral(f, ContourSpec.geodesic(1.0 + 0.25j, 1.0 + 1j), tol=1e-15)
     assert not res.converged
+
+
+# ---------------------------------------------------------------------------
+# the trapezoid rule between two cusps
+
+
+def test_cusp_to_cusp_error_honesty():
+    # the returned error bounds the true error of int_0^{i inf} (z/i)^{s-1}
+    # e^{2 pi i z} dz = i Gamma(s) (2 pi)^{-s} for at least 48 of 50 seeded s
+    rng = np.random.default_rng(RNG_SEED + 2)
+    wins = 0
+    for _ in range(50):
+        s = complex(rng.uniform(1, 8), rng.uniform(-3, 3))
+
+        def f(z):
+            return (z / 1j) ** (s - 1) * cmath.exp(2j * math.pi * z)
+
+        res = contour_integral(f, ContourSpec.geodesic(0.0, INF, decay=2 * math.pi), tol=1e-12)
+        assert res.converged
+        truth = 1j * complex(mp.gamma(s) * (2 * mp.pi) ** (-s))
+        assert abs(res.value - truth) <= 1e-10 * abs(truth)
+        if res.error >= abs(res.value - truth):
+            wins += 1
+    assert wins >= 48
+
+
+def test_cusp_to_cusp_vector_components():
+    # one node table, one component per s, each meeting its own target
+    ss = np.array([1.5, 3.2, 6.0 + 2j])
+
+    def f(z):
+        return np.exp((ss - 1) * math.log(z.imag)) * cmath.exp(2j * math.pi * z) / 1j
+
+    res = contour_integral(f, ContourSpec.geodesic(0.0, INF, decay=2 * math.pi), tol=1e-12)
+    assert res.value.shape == res.error.shape == (3,)
+    for s, v, e in zip(ss, res.value, res.error):
+        truth = complex(mp.gamma(s) * (2 * mp.pi) ** (-s))
+        assert abs(v - truth) <= 1e-12 * abs(truth)
+        assert e <= 1e-12 * abs(v)
+
+
+@pytest.mark.parametrize("f", [lambda z: (z / 1j) ** 2,
+                               lambda z: cmath.exp(-2j * math.pi * z)],
+                         ids=["algebraic", "exponential"])
+def test_cusp_to_cusp_growth_refused(f):
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        contour_integral(f, ContourSpec.geodesic(0.0, INF, decay=2 * math.pi))
+    assert time.perf_counter() - start < 2.0
+
+
+def test_cusp_to_cusp_budget_refused():
+    # the second component has a branch point on the path at z = i, where the
+    # trapezoid rule converges only algebraically: refused, and promptly
+    def f(z):
+        e = cmath.exp(2j * math.pi * z)
+        return np.array([e, cmath.sqrt(z - 1j) * e])
+
+    start = time.perf_counter()
+    with pytest.raises(RefusalError):
+        contour_integral(f, ContourSpec.geodesic(0.0, INF, decay=2 * math.pi), tol=1e-12)
+    assert time.perf_counter() - start < 2.0
